@@ -1,0 +1,149 @@
+"""A capped pool of pre-rooted Hoeffding trees with sliding accuracy tracking.
+
+One tree per (selected) attribute, each forced to split on its attribute at
+the root so the pool covers diverse first splits. All trees share a node
+budget; when it is exhausted the trees keep classifying but stop growing.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .errors import NotReadyError
+from .hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
+from .stream import Instance, Schema
+
+# Documented cost-model constant: fixed accounting size of one sliding
+# accuracy estimator, independent of fill level.
+ESTIMATOR_BYTES = 80
+
+DEFAULT_TREE_CAP = 50
+DEFAULT_MAX_NODES = 5000
+
+
+class SlidingAccuracy:
+    """Hit rate over the last ``window`` observations."""
+
+    def __init__(self, window: int):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.window = window
+        self._hits = 0
+        self._buf: deque = deque()
+
+    def update(self, correct: bool) -> None:
+        if len(self._buf) == self.window:
+            self._hits -= self._buf.popleft()
+        bit = 1 if correct else 0
+        self._buf.append(bit)
+        self._hits += bit
+
+    @property
+    def count(self) -> int:
+        return len(self._buf)
+
+    @property
+    def accuracy(self) -> float:
+        return self._hits / len(self._buf) if self._buf else 0.0
+
+    def memory_bytes(self) -> int:
+        return ESTIMATOR_BYTES
+
+
+def _calibration_gain_ranking(calibration: Sequence[Instance], d: int) -> list[int]:
+    """Attributes ranked by single-split information gain on a labeled sample."""
+    stats = np.zeros((d, 2, 2))
+    for inst in calibration:
+        stats[np.arange(d), inst.features, inst.label] += 1
+    cls = stats[0].sum(axis=0)
+    n = cls.sum()
+    if n == 0:
+        return list(range(d))
+
+    def entropy(c):
+        t = c.sum()
+        if t == 0:
+            return 0.0
+        p = c / t
+        p = p[p > 0]
+        return float(-(p * np.log2(p)).sum())
+
+    h0 = entropy(cls)
+    gains = np.empty(d)
+    for a in range(d):
+        nv = stats[a].sum(axis=1)
+        cond = sum(nv[v] / n * entropy(stats[a, v]) for v in (0, 1))
+        gains[a] = h0 - cond
+    # stable sort keeps lower attribute ids first on ties
+    return list(np.argsort(-gains, kind="stable"))
+
+
+class Forest:
+    """min(d, tree_cap) trees, one forced root attribute each."""
+
+    def __init__(self, schema: Schema, *, tree_cap: int = DEFAULT_TREE_CAP,
+                 max_node_count: int = DEFAULT_MAX_NODES,
+                 eval_window: int = 500, split_confidence: float = 0.99,
+                 tie_threshold: float = 0.01, check_interval: int = 32,
+                 calibration: Optional[Sequence[Instance]] = None):
+        d = schema.d
+        n_trees = min(d, tree_cap)
+        if n_trees < 1:
+            raise ValueError("tree_cap must be >= 1")
+        if max_node_count < 3 * n_trees:
+            raise ValueError(
+                f"max_node_count {max_node_count} cannot hold {n_trees} "
+                f"pre-rooted trees (3 nodes each)")
+        if d <= tree_cap:
+            roots = list(range(d))
+        elif calibration:
+            roots = sorted(_calibration_gain_ranking(calibration, d)[:tree_cap])
+        else:
+            # no sample to rank by: fall back to the lowest attribute ids
+            roots = list(range(tree_cap))
+        self.schema = schema
+        self.root_attributes = roots
+        self.budget = NodeBudget(max_node_count)
+        self.trees = [
+            HoeffdingTree(schema, split_confidence=split_confidence,
+                          tie_threshold=tie_threshold,
+                          check_interval=check_interval,
+                          root_attribute=a, budget=self.budget)
+            for a in roots
+        ]
+        self.estimators = [SlidingAccuracy(eval_window) for _ in roots]
+
+    def __len__(self) -> int:
+        return len(self.trees)
+
+    def train(self, inst: Instance) -> None:
+        """Score each tree on the instance first, then let it learn."""
+        feats = inst.features
+        label = inst.label
+        for tree, est in zip(self.trees, self.estimators):
+            est.update(tree.classify(feats) == label)
+            tree.train(feats, label)
+
+    def classify(self, tree_index: int, features: np.ndarray) -> int:
+        return self.trees[tree_index].classify(features)
+
+    def best_tree(self) -> tuple[int, HoeffdingTree, float]:
+        """Index, tree, and sliding accuracy of the current leader.
+
+        Ties break toward the lower tree index.
+        """
+        if self.estimators[0].count == 0:
+            raise NotReadyError("no scored instances yet")
+        best = max(range(len(self.trees)),
+                   key=lambda i: (self.estimators[i].accuracy, -i))
+        return best, self.trees[best], self.estimators[best].accuracy
+
+    def total_node_count(self) -> int:
+        return sum(t.node_count for t in self.trees)
+
+    def memory_bytes(self) -> int:
+        return (self.total_node_count() * NODE_BYTES
+                + len(self.trees) * ESTIMATOR_BYTES)

@@ -1,0 +1,277 @@
+"""Incremental decision trees over binary attributes.
+
+Leaves accumulate per-attribute class counts and are split once an
+information-gain lead clears the Hoeffding bound (or the bound is small
+enough to call it a tie). Trees can be pre-rooted on a chosen attribute so a
+forest can pin one tree per attribute.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Iterator, Optional
+
+import numpy as np
+
+from .stream import Schema
+
+# Documented cost-model constant: accounting size of one tree node in bytes.
+NODE_BYTES = 48
+
+_GAIN_FLOOR = 1e-12  # exact-zero gains must not trigger splits
+
+
+@dataclass(frozen=True)
+class TreePath:
+    """Root-to-leaf path as attribute bitmasks plus the leaf's class.
+
+    ``defined_mask`` has bit a set when attribute a is tested on the path;
+    ``ones_mask`` (a subset) marks the attributes tested equal to 1.
+    """
+
+    defined_mask: int
+    ones_mask: int
+    label: int
+
+    @property
+    def depth(self) -> int:
+        return self.defined_mask.bit_count()
+
+
+class _NullBudget:
+    def try_claim(self, n: int) -> bool:
+        return True
+
+    def release(self, n: int) -> None:
+        pass
+
+
+class NodeBudget:
+    """Shared allocation counter capping total node count across trees."""
+
+    def __init__(self, limit: Optional[int]):
+        self.limit = limit
+        self.used = 0
+
+    def try_claim(self, n: int) -> bool:
+        if self.limit is not None and self.used + n > self.limit:
+            return False
+        self.used += n
+        return True
+
+    def release(self, n: int) -> None:
+        self.used -= n
+
+
+class _Node:
+    __slots__ = ("split_attribute", "children", "frozen_counts",
+                 "seed_counts", "counts", "attr_stats", "since_check", "banned")
+
+    def __init__(self, d: int, banned: frozenset,
+                 seed_counts: Optional[np.ndarray] = None):
+        self.split_attribute: Optional[int] = None
+        self.children: Optional[list[_Node]] = None
+        self.frozen_counts: Optional[np.ndarray] = None  # set when the node splits
+        self.seed_counts = seed_counts if seed_counts is not None \
+            else np.zeros(2, dtype=np.int64)
+        self.counts = np.zeros(2, dtype=np.int64)
+        # attr_stats[a, v, c]: observed count of attribute a == v with class c
+        self.attr_stats = np.zeros((d, 2, 2), dtype=np.int64)
+        self.since_check = 0
+        self.banned = banned
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.children is None
+
+    def total_counts(self) -> np.ndarray:
+        return self.seed_counts + self.counts
+
+
+def _majority(counts: np.ndarray) -> int:
+    # tie breaks toward class 0
+    return 1 if counts[1] > counts[0] else 0
+
+
+def _entropy(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def hoeffding_bound(delta: float, n: int) -> float:
+    """Range-1 Hoeffding deviation bound for an n-sample mean."""
+    return math.sqrt(math.log(1.0 / delta) / (2.0 * n))
+
+
+class HoeffdingTree:
+    """Single incremental tree; ``split_confidence`` is 1 - delta."""
+
+    def __init__(self, schema: Schema, split_confidence: float = 0.99,
+                 tie_threshold: float = 0.01, check_interval: int = 32,
+                 root_attribute: Optional[int] = None,
+                 budget: Optional[NodeBudget] = None):
+        if not 0.0 < split_confidence < 1.0:
+            raise ValueError("split_confidence must be in (0,1)")
+        if check_interval < 1:
+            raise ValueError("check_interval must be >= 1")
+        self.schema = schema
+        self.delta = 1.0 - split_confidence
+        self.tie_threshold = tie_threshold
+        self.check_interval = check_interval
+        self.budget = budget if budget is not None else _NullBudget()
+        d = schema.d
+        if root_attribute is not None:
+            if not 0 <= root_attribute < d:
+                raise ValueError(f"root attribute {root_attribute} out of range")
+            # pre-split root: 1 internal node + 2 empty leaves
+            self.budget.try_claim(3)
+            root = _Node(d, frozenset())
+            root.split_attribute = root_attribute
+            root.frozen_counts = np.zeros(2, dtype=np.int64)
+            banned = frozenset((root_attribute,))
+            root.children = [_Node(d, banned), _Node(d, banned)]
+            self.root = root
+            self.node_count = 3
+        else:
+            self.budget.try_claim(1)
+            self.root = _Node(d, frozenset())
+            self.node_count = 1
+
+    def _route(self, features: np.ndarray) -> tuple[_Node, Optional[np.ndarray]]:
+        """Leaf for this feature vector plus the nearest non-empty fallback counts."""
+        node = self.root
+        fallback = None
+        while not node.is_leaf:
+            fc = node.frozen_counts
+            if fc is not None and fc.sum() > 0:
+                fallback = fc
+            node = node.children[int(features[node.split_attribute])]
+        return node, fallback
+
+    def classify(self, features: np.ndarray) -> int:
+        leaf, fallback = self._route(features)
+        totals = leaf.total_counts()
+        if totals.sum() > 0:
+            return _majority(totals)
+        if fallback is not None:
+            return _majority(fallback)
+        return 0
+
+    def train(self, features: np.ndarray, label: int) -> None:
+        leaf, _ = self._route(features)
+        leaf.counts[label] += 1
+        leaf.attr_stats[np.arange(self.schema.d), features, label] += 1
+        leaf.since_check += 1
+        if leaf.since_check >= self.check_interval:
+            leaf.since_check = 0
+            self._maybe_split(leaf)
+
+    def _gains(self, leaf: _Node) -> np.ndarray:
+        stats = leaf.attr_stats
+        n = leaf.counts.sum()
+        h0 = _entropy(leaf.counts)
+        nv = stats.sum(axis=2)  # (d, 2) counts per attribute value
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = stats / nv[:, :, None]
+            logs = np.where(stats > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+        h_branch = -(np.where(stats > 0, p, 0.0) * logs).sum(axis=2)  # (d, 2)
+        cond = (nv / n * h_branch).sum(axis=1)
+        gains = h0 - cond
+        if leaf.banned:
+            gains[list(leaf.banned)] = -np.inf
+        return gains
+
+    def _maybe_split(self, leaf: _Node) -> None:
+        n = int(leaf.counts.sum())
+        if n == 0 or len(leaf.banned) >= self.schema.d:
+            return
+        gains = self._gains(leaf)
+        order = np.argsort(gains)
+        best = int(order[-1])
+        g_best = float(gains[best])
+        g_second = float(gains[order[-2]]) if self.schema.d > 1 else 0.0
+        if g_second == -np.inf:
+            g_second = 0.0
+        if g_best <= _GAIN_FLOOR:
+            return
+        eps = hoeffding_bound(self.delta, n)
+        if (g_best - g_second > eps) or (eps < self.tie_threshold):
+            self._split(leaf, best)
+
+    def _split(self, leaf: _Node, attr: int) -> None:
+        if not self.budget.try_claim(2):
+            return
+        d = self.schema.d
+        banned = leaf.banned | {attr}
+        children = []
+        for v in (0, 1):
+            child = _Node(d, banned, seed_counts=leaf.attr_stats[attr, v].copy())
+            children.append(child)
+        leaf.split_attribute = attr
+        leaf.frozen_counts = leaf.total_counts()
+        leaf.children = children
+        leaf.attr_stats = np.zeros((0, 2, 2), dtype=np.int64)  # free the stats
+        self.node_count += 2
+
+    def extract_paths(self) -> list[TreePath]:
+        """All root-to-leaf paths with the same class rule as :meth:`classify`."""
+        out: list[TreePath] = []
+
+        def walk(node: _Node, defined: int, ones: int,
+                 fallback: Optional[np.ndarray]) -> None:
+            if node.is_leaf:
+                totals = node.total_counts()
+                if totals.sum() > 0:
+                    label = _majority(totals)
+                elif fallback is not None:
+                    label = _majority(fallback)
+                else:
+                    label = 0
+                out.append(TreePath(defined, ones, label))
+                return
+            fc = node.frozen_counts
+            if fc is not None and fc.sum() > 0:
+                fallback = fc
+            a = node.split_attribute
+            walk(node.children[0], defined | (1 << a), ones, fallback)
+            walk(node.children[1], defined | (1 << a), ones | (1 << a), fallback)
+
+        walk(self.root, 0, 0, None)
+        return out
+
+    def leaf_count(self) -> int:
+        return sum(1 for _ in self._leaves())
+
+    def _leaves(self) -> Iterator[_Node]:
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                yield node
+            else:
+                stack.extend(node.children)
+
+    def memory_bytes(self) -> int:
+        return self.node_count * NODE_BYTES
+
+    def dump(self) -> str:
+        """Indented text rendering, for debugging."""
+        lines: list[str] = []
+
+        def walk(node: _Node, indent: str) -> None:
+            if node.is_leaf:
+                t = node.total_counts()
+                lines.append(f"{indent}leaf counts={t.tolist()} -> {_majority(t)}")
+                return
+            name = self.schema.attribute_names[node.split_attribute]
+            for v in (0, 1):
+                lines.append(f"{indent}{name} == {v}:")
+                walk(node.children[v], indent + "  ")
+
+        walk(self.root, "")
+        return "\n".join(lines)

@@ -1,0 +1,153 @@
+"""Bounded store of compressed models with usage-weighted eviction.
+
+Entries keep a sliding accuracy over recent stream instances and a tally of
+how often they were chosen as the winning model. When the store is full the
+entry with the lowest tally * accuracy product is evicted; near-duplicate
+spectra are refused outright.
+"""
+
+from __future__ import annotations
+
+import csv
+import os
+from typing import Optional, Sequence
+
+import numpy as np
+
+from .errors import SchemaError
+from .forest import SlidingAccuracy
+from .spectrum import FourierSpectrum, spectra_equal
+from .stream import Instance
+
+
+class RepositoryEntry:
+    def __init__(self, spectrum: FourierSpectrum, entry_id: int,
+                 eval_window: int):
+        self.spectrum = spectrum
+        self.entry_id = entry_id  # stable across evictions of other entries
+        self.winner_tally = 0
+        self.estimator = SlidingAccuracy(eval_window)
+
+    @property
+    def accuracy(self) -> float:
+        # entries never yet scored weigh (and rank) as 0
+        return self.estimator.accuracy
+
+    @property
+    def weight(self) -> float:
+        return self.winner_tally * self.accuracy
+
+
+class Repository:
+    def __init__(self, capacity: int = 50, eval_window: int = 500,
+                 duplicate_tolerance: float = 0.01):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
+        self.capacity = capacity
+        self.eval_window = eval_window
+        self.duplicate_tolerance = duplicate_tolerance
+        self.entries: list[RepositoryEntry] = []
+        self._next_id = 0
+        self._cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def find(self, entry_id: int) -> Optional[RepositoryEntry]:
+        for e in self.entries:
+            if e.entry_id == entry_id:
+                return e
+        return None
+
+    def insert(self, spectrum: FourierSpectrum) -> bool:
+        """Store a spectrum unless a near-duplicate exists; evict if full.
+
+        Returns True when the spectrum was stored. A duplicate hit leaves the
+        existing entry untouched.
+        """
+        for e in self.entries:
+            if spectra_equal(e.spectrum, spectrum, self.duplicate_tolerance):
+                return False
+        if len(self.entries) >= self.capacity:
+            victim = min(range(len(self.entries)),
+                         key=lambda i: (self.entries[i].weight,
+                                        self.entries[i].entry_id))
+            del self.entries[victim]
+        self.entries.append(RepositoryEntry(spectrum, self._next_id,
+                                            self.eval_window))
+        self._next_id += 1
+        self._cache = None
+        return True
+
+    def _eval_cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Concatenated coefficient matrices of all entries for batch scoring."""
+        if self._cache is None:
+            bit_blocks = []
+            val_blocks = []
+            offsets = [0]
+            for e in self.entries:
+                bits, vals = e.spectrum._dense_arrays()
+                bit_blocks.append(bits)
+                val_blocks.append(vals)
+                offsets.append(offsets[-1] + len(vals))
+            d = self.entries[0].spectrum.attribute_count if self.entries else 0
+            bits = (np.concatenate(bit_blocks, axis=0) if bit_blocks
+                    else np.zeros((0, d), dtype=np.uint8))
+            vals = np.concatenate(val_blocks) if val_blocks else np.zeros(0)
+            self._cache = (bits, vals, np.asarray(offsets))
+        return self._cache
+
+    def observe(self, inst: Instance) -> None:
+        """Score every entry's prediction of one labeled instance."""
+        if not self.entries:
+            return
+        d = self.entries[0].spectrum.attribute_count
+        if len(inst.features) != d:
+            raise SchemaError(
+                f"instance has {len(inst.features)} attributes, repository "
+                f"holds spectra over {d}")
+        preds = self.classify_all(inst.features)
+        for e, p in zip(self.entries, preds):
+            e.estimator.update(p == inst.label)
+
+    def classify_all(self, features: np.ndarray) -> np.ndarray:
+        """Vector of per-entry class predictions for one instance."""
+        bits, vals, offsets = self._eval_cache()
+        overlap = bits @ features.astype(np.int64)  # per-coefficient parity count
+        signed = np.where(overlap & 1, -vals, vals)
+        csum = np.concatenate(([0.0], np.cumsum(signed)))
+        sums = csum[offsets[1:]] - csum[offsets[:-1]]
+        return (sums >= 0.5).astype(np.uint8)
+
+    def best(self) -> Optional[tuple[int, RepositoryEntry, float]]:
+        """Highest-accuracy entry (index, entry, accuracy); None when empty.
+
+        Ties prefer the higher winner tally, then the older entry.
+        """
+        if not self.entries:
+            return None
+        idx = max(range(len(self.entries)),
+                  key=lambda i: (self.entries[i].accuracy,
+                                 self.entries[i].winner_tally,
+                                 -self.entries[i].entry_id))
+        return idx, self.entries[idx], self.entries[idx].accuracy
+
+    def memory_bytes(self) -> int:
+        return sum(e.spectrum.memory_bytes() + e.estimator.memory_bytes()
+                   for e in self.entries)
+
+    def export(self, directory) -> None:
+        """Write every spectrum plus an index.csv of entry statistics."""
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, "index.csv"), "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["entry_id", "file", "winner_tally", "accuracy",
+                        "coefficients", "order_cutoff",
+                        "captured_energy_fraction"])
+            for e in self.entries:
+                fname = f"spectrum_{e.entry_id:04d}.txt"
+                e.spectrum.write(os.path.join(directory, fname))
+                w.writerow([e.entry_id, fname, e.winner_tally,
+                            f"{e.accuracy:.6f}", len(e.spectrum),
+                            e.spectrum.order_cutoff,
+                            f"{e.spectrum.captured_energy_fraction:.6f}"])

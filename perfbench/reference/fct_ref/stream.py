@@ -1,0 +1,443 @@
+"""Labeled instance streams: synthetic recurrent-concept generators and file ingestion.
+
+All streams emit :class:`Instance` objects with *binary* feature vectors.
+Numeric sources (the synthetic generators, CSV files) are passed through an
+equal-frequency quantile :class:`Binarizer` fitted on a leading calibration
+window, so downstream learners only ever see bits.
+"""
+
+from __future__ import annotations
+
+import csv
+import itertools
+import logging
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
+
+from .errors import (
+    InvalidParamsError,
+    InvalidScheduleError,
+    RowParseError,
+    UnsupportedDatasetError,
+)
+
+log = logging.getLogger(__name__)
+
+DEFAULT_CALIBRATION_SIZE = 1000
+
+# Canonical per-concept parameter values for the three synthetic generators.
+SEA_THRESHOLDS = (8.0, 7.0, 9.0, 9.5)
+RBF_CENTROID_COUNTS = (5, 15, 25, 35)
+HYPERPLANE_DRIFT_COUNTS = (2, 4, 6, 8)
+
+
+@dataclass(frozen=True)
+class Schema:
+    """Attribute layout of a binary instance stream.
+
+    ``class_labels[0]`` is encoded as label 1, ``class_labels[1]`` as label 0.
+    """
+
+    attribute_names: tuple[str, ...]
+    class_labels: tuple[str, str] = ("class1", "class2")
+
+    def __post_init__(self):
+        if len(self.attribute_names) < 1:
+            raise InvalidParamsError("schema needs at least one attribute")
+        if len(set(self.attribute_names)) != len(self.attribute_names):
+            raise InvalidParamsError("attribute names must be unique")
+        if len(self.class_labels) != 2:
+            raise InvalidParamsError("exactly two class labels required")
+
+    @property
+    def d(self) -> int:
+        return len(self.attribute_names)
+
+
+@dataclass(slots=True)
+class Instance:
+    """One stream record: bit features, class label in {0,1}, arrival index."""
+
+    features: np.ndarray  # uint8 vector of length schema.d
+    label: int
+    index: int
+
+
+@dataclass(frozen=True)
+class Segment:
+    """One homogeneous stretch of the stream."""
+
+    concept_id: int
+    params: dict
+    length: int
+    seed: int
+
+    def __post_init__(self):
+        if self.length <= 0:
+            raise InvalidScheduleError("segment length must be positive")
+
+
+@dataclass(frozen=True)
+class ConceptSchedule:
+    """Ordered segments plus a global label-noise probability.
+
+    Ground-truth drift points are the cumulative segment boundaries.
+    """
+
+    segments: tuple[Segment, ...]
+    noise_probability: float = 0.0
+
+    def __post_init__(self):
+        if not self.segments:
+            raise InvalidScheduleError("schedule has no segments")
+        if not 0.0 <= self.noise_probability <= 1.0:
+            raise InvalidScheduleError("noise probability must be in [0,1]")
+
+    @property
+    def total_length(self) -> int:
+        return sum(s.length for s in self.segments)
+
+    def boundaries(self) -> tuple[int, ...]:
+        """Instance indices where a new segment starts (first segment excluded)."""
+        out, pos = [], 0
+        for seg in self.segments[:-1]:
+            pos += seg.length
+            out.append(pos)
+        return tuple(out)
+
+
+def recurring_schedule(
+    concept_params: Sequence[dict],
+    segment_length: int,
+    recurrences: int,
+    noise_probability: float = 0.0,
+    base_seed: int = 0,
+) -> ConceptSchedule:
+    """Cycle the given concepts ``recurrences`` times with fresh per-segment seeds.
+
+    Every reappearance of a concept gets a new seed, so recurring concepts are
+    similar but not identical draws from the same concept family.
+    """
+    n_segments = len(concept_params) * recurrences
+    seeds = np.random.SeedSequence(base_seed).generate_state(n_segments)
+    segments = []
+    for i in range(n_segments):
+        cid = i % len(concept_params)
+        segments.append(
+            Segment(concept_id=cid, params=dict(concept_params[cid]),
+                    length=segment_length, seed=int(seeds[i]))
+        )
+    return ConceptSchedule(tuple(segments), noise_probability)
+
+
+class Binarizer:
+    """Maps numeric feature rows to fixed-width bit vectors.
+
+    Each numeric attribute gets ``2**bits - 1`` equal-frequency thresholds and
+    is coded by the number of thresholds its value exceeds, emitted MSB first.
+    Attributes whose calibration values are all in {0, 1} pass through as one
+    bit each.
+    """
+
+    def __init__(self, thresholds: list[Optional[np.ndarray]], bits: list[int],
+                 input_names: Optional[Sequence[str]] = None):
+        self.thresholds = thresholds  # None entry = binary passthrough
+        self.bits = bits
+        self.input_names = list(input_names) if input_names else [
+            f"f{i+1}" for i in range(len(bits))
+        ]
+        self.output_width = sum(bits)
+
+    def transform_row(self, row: Sequence[float]) -> np.ndarray:
+        out = np.empty(self.output_width, dtype=np.uint8)
+        pos = 0
+        for a, (th, b) in enumerate(zip(self.thresholds, self.bits)):
+            v = row[a]
+            if th is None:
+                out[pos] = 1 if v > 0.5 else 0
+                pos += 1
+                continue
+            code = int(np.searchsorted(th, v, side="left"))
+            for k in range(b):
+                out[pos + k] = (code >> (b - 1 - k)) & 1
+            pos += b
+        return out
+
+    def output_names(self) -> tuple[str, ...]:
+        names = []
+        for name, th, b in zip(self.input_names, self.thresholds, self.bits):
+            if th is None or b == 1:
+                names.append(name)
+            else:
+                names.extend(f"{name}_b{k}" for k in range(b))
+        return tuple(names)
+
+    def output_schema(self, class_labels=("class1", "class2")) -> Schema:
+        return Schema(self.output_names(), tuple(class_labels))
+
+
+def binarize(calibration: Sequence[Sequence[float]], bits_per_attribute: int = 1,
+             attribute_names: Optional[Sequence[str]] = None) -> Binarizer:
+    """Fit a :class:`Binarizer` on raw numeric calibration rows.
+
+    Thresholds are the ``k / 2**b`` quantiles (k = 1 .. 2**b - 1) of the
+    calibration sample, linearly interpolated. A constant attribute degenerates
+    to code 0 everywhere; that is logged as a warning, not an error.
+    """
+    if len(calibration) == 0:
+        raise InvalidParamsError("calibration sample is empty")
+    if bits_per_attribute < 1:
+        raise InvalidParamsError("bits_per_attribute must be >= 1")
+    data = np.asarray(calibration, dtype=float)
+    if data.ndim != 2:
+        raise InvalidParamsError("calibration rows must share one width")
+    b = bits_per_attribute
+    qs = np.arange(1, 2 ** b) / (2 ** b)
+    thresholds: list[Optional[np.ndarray]] = []
+    bits: list[int] = []
+    for a in range(data.shape[1]):
+        col = data[:, a]
+        uniq = np.unique(col)
+        if np.isin(uniq, (0.0, 1.0)).all():
+            thresholds.append(None)
+            bits.append(1)
+            continue
+        if uniq.size == 1:
+            log.warning("attribute %d is constant in the calibration window; "
+                        "all values code to 0", a)
+        thresholds.append(np.quantile(col, qs))
+        bits.append(b)
+    return Binarizer(thresholds, bits, attribute_names)
+
+
+class InstanceStream:
+    """Iterator of :class:`Instance` carrying its binarized schema.
+
+    Single-consumer: independent stream objects may be iterated on different
+    threads, but one stream must not be shared.
+    """
+
+    def __init__(self, schema: Schema, instances: Iterator[Instance],
+                 boundaries: tuple[int, ...] = ()):
+        self.schema = schema
+        self.boundaries = boundaries
+        self._it = instances
+
+    def __iter__(self) -> Iterator[Instance]:
+        return self._it
+
+    def __next__(self) -> Instance:
+        return next(self._it)
+
+
+RawIter = Iterator[tuple[np.ndarray, int]]
+
+
+def _segment_rngs(segment: Segment) -> tuple[np.random.Generator, np.random.Generator]:
+    """Independent concept and noise RNG streams for one segment.
+
+    Keeping noise on its own stream makes the pre-noise stream identical
+    across noise levels for the same schedule seeds.
+    """
+    concept_ss, noise_ss = np.random.SeedSequence(segment.seed).spawn(2)
+    return np.random.default_rng(concept_ss), np.random.default_rng(noise_ss)
+
+
+def _apply_noise(label: int, p: float, noise_rng: np.random.Generator) -> int:
+    return label ^ 1 if noise_rng.random() < p else label
+
+
+def sea_raw(schedule: ConceptSchedule) -> RawIter:
+    """Numeric SEA stream: 3 features uniform on [0,10]; label = f1+f2 > threshold."""
+    p = schedule.noise_probability
+    for seg in schedule.segments:
+        theta = seg.params.get("threshold")
+        if theta is None or theta <= 0:
+            raise InvalidParamsError("sea segment needs a positive 'threshold'")
+        rng, noise_rng = _segment_rngs(seg)
+        for _ in range(seg.length):
+            row = rng.uniform(0.0, 10.0, size=3)
+            label = 1 if row[0] + row[1] > theta else 0
+            yield row, _apply_noise(label, p, noise_rng)
+
+
+def rbf_raw(schedule: ConceptSchedule) -> RawIter:
+    """Numeric RBF stream: instances drawn around randomly placed class centroids."""
+    p = schedule.noise_probability
+    for seg in schedule.segments:
+        k = seg.params.get("centroid_count")
+        if k is None or k < 2:
+            raise InvalidParamsError("rbf segment needs 'centroid_count' >= 2")
+        nd = seg.params.get("attribute_count", 10)
+        rng, noise_rng = _segment_rngs(seg)
+        centers = rng.uniform(0.0, 1.0, size=(k, nd))
+        classes = rng.integers(0, 2, size=k)
+        weights = rng.uniform(0.0, 1.0, size=k)
+        weights = weights / weights.sum()
+        spreads = rng.uniform(0.0, 1.0, size=k)
+        for _ in range(seg.length):
+            c = rng.choice(k, p=weights)
+            direction = rng.uniform(-1.0, 1.0, size=nd)
+            norm = np.linalg.norm(direction)
+            if norm == 0.0:
+                norm = 1.0
+            magnitude = rng.normal(0.0, 1.0) * spreads[c]
+            row = centers[c] + direction * (magnitude / norm)
+            yield row, _apply_noise(int(classes[c]), p, noise_rng)
+
+
+def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
+    """Numeric rotating-hyperplane stream over [0,1]^nd.
+
+    Label is the side of sum(w_i x_i) > sum(w)/2; the first
+    ``drifting_attribute_count`` weights move by ``mag_change`` per instance,
+    each flipping direction with probability ``direction_change_prob``.
+    """
+    p = schedule.noise_probability
+    for seg in schedule.segments:
+        nd = seg.params.get("attribute_count", 10)
+        k = seg.params.get("drifting_attribute_count")
+        if k is None or k < 0 or k > nd:
+            raise InvalidParamsError(
+                "hyperplane segment needs 'drifting_attribute_count' in [0, d]")
+        mag = seg.params.get("mag_change", 0.001)
+        sigma = seg.params.get("direction_change_prob", 0.1)
+        rng, noise_rng = _segment_rngs(seg)
+        if "weights" in seg.params:
+            w = np.asarray(seg.params["weights"], dtype=float).copy()
+            if w.shape != (nd,):
+                raise InvalidParamsError("hyperplane 'weights' must have length d")
+        else:
+            w = rng.uniform(0.0, 1.0, size=nd)
+        directions = np.ones(k)
+        for _ in range(seg.length):
+            row = rng.uniform(0.0, 1.0, size=nd)
+            label = 1 if row @ w > 0.5 * w.sum() else 0
+            yield row, _apply_noise(label, p, noise_rng)
+            if k:
+                w[:k] += directions * mag
+                flips = rng.random(k) < sigma
+                directions[flips] *= -1.0
+
+
+def _binarized_stream(raw: RawIter, schedule: ConceptSchedule,
+                      bits_per_attribute: int, calibration_size: int,
+                      attribute_names: Optional[Sequence[str]] = None) -> InstanceStream:
+    head = list(itertools.islice(raw, calibration_size))
+    binz = binarize([r for r, _ in head], bits_per_attribute, attribute_names)
+    schema = binz.output_schema()
+
+    def gen() -> Iterator[Instance]:
+        for i, (row, label) in enumerate(itertools.chain(head, raw)):
+            yield Instance(binz.transform_row(row), label, i)
+
+    return InstanceStream(schema, gen(), schedule.boundaries())
+
+
+def sea_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
+               calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
+    """Binarized SEA concepts stream."""
+    names = ("f1", "f2", "f3")
+    return _binarized_stream(sea_raw(schedule), schedule, bits_per_attribute,
+                             calibration_size, names)
+
+
+def rbf_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
+               calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
+    """Binarized RBF stream."""
+    nd = schedule.segments[0].params.get("attribute_count", 10)
+    names = tuple(f"f{i+1}" for i in range(nd))
+    return _binarized_stream(rbf_raw(schedule), schedule, bits_per_attribute,
+                             calibration_size, names)
+
+
+def hyperplane_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
+                      calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
+    """Binarized rotating-hyperplane stream."""
+    nd = schedule.segments[0].params.get("attribute_count", 10)
+    names = tuple(f"f{i+1}" for i in range(nd))
+    return _binarized_stream(hyperplane_raw(schedule), schedule, bits_per_attribute,
+                             calibration_size, names)
+
+
+def _sniff_delimiter(header_line: str) -> str:
+    return ";" if header_line.count(";") > header_line.count(",") else ","
+
+
+def _read_rows(path, delimiter: Optional[str]) -> Iterator[tuple[int, list[str]]]:
+    with open(path, "r", newline="") as fh:
+        first = fh.readline()
+        if not first:
+            raise UnsupportedDatasetError(f"{path}: empty file")
+        delim = delimiter or _sniff_delimiter(first)
+        header = next(csv.reader([first], delimiter=delim))
+        yield 1, header
+        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
+            if row:
+                yield lineno, row
+
+
+def file_stream(path, schema_hints: Optional[dict] = None) -> InstanceStream:
+    """Stream a delimited text file (header row, last column = two-valued class).
+
+    Numeric attributes are quantile-binarized from a leading calibration
+    window. Class values map to {1, 0} in first-seen order; that mapping is
+    reported in the run log.
+
+    ``schema_hints`` keys: ``delimiter``, ``bits_per_attribute``,
+    ``calibration_size``.
+    """
+    hints = schema_hints or {}
+    bits = hints.get("bits_per_attribute", 1)
+    calibration_size = hints.get("calibration_size", DEFAULT_CALIBRATION_SIZE)
+    rows = _read_rows(path, hints.get("delimiter"))
+    _, header = next(rows)
+    if len(header) < 2:
+        raise UnsupportedDatasetError(f"{path}: need at least one feature column")
+    feature_names = [h.strip() for h in header[:-1]]
+
+    class_map: dict[str, int] = {}
+
+    def parse(lineno: int, row: list[str]) -> tuple[np.ndarray, int]:
+        if len(row) != len(header):
+            raise RowParseError(lineno, f"expected {len(header)} fields, got {len(row)}")
+        try:
+            feats = np.array([float(v) for v in row[:-1]])
+        except ValueError as e:
+            raise RowParseError(lineno, str(e)) from None
+        cls = row[-1].strip()
+        if cls not in class_map:
+            if len(class_map) == 2:
+                raise UnsupportedDatasetError(
+                    f"{path}: more than 2 class values (saw {sorted(class_map)} "
+                    f"then {cls!r} at line {lineno})")
+            class_map[cls] = 1 if not class_map else 0
+            if len(class_map) == 2:
+                inv = {v: k for k, v in class_map.items()}
+                log.info("class mapping for %s: %r -> 1, %r -> 0", path, inv[1], inv[0])
+        return feats, class_map[cls]
+
+    head = [parse(lineno, row) for lineno, row in
+            itertools.islice(rows, calibration_size)]
+    if not head:
+        raise UnsupportedDatasetError(f"{path}: no data rows")
+    binz = binarize([r for r, _ in head], bits, feature_names)
+
+    labels = sorted(class_map, key=class_map.get, reverse=True)
+    while len(labels) < 2:
+        labels.append("class2")
+    schema = binz.output_schema(class_labels=(labels[0], labels[1]))
+
+    def gen() -> Iterator[Instance]:
+        i = 0
+        for row, label in head:
+            yield Instance(binz.transform_row(row), label, i)
+            i += 1
+        for lineno, row in rows:
+            feats, label = parse(lineno, row)
+            yield Instance(binz.transform_row(feats), label, i)
+            i += 1
+
+    return InstanceStream(schema, gen(), ())
