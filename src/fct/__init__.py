@@ -7,14 +7,11 @@ from .hoeffding import HoeffdingTree, TreePath, hoeffding_bound
 from .repository import Repository, RepositoryEntry
 from .spectrum import (
     FourierSpectrum,
-    basis,
     dft,
     dft_from_paths,
     inverse_classify,
-    order_energy,
     path_coefficient_contribution,
     spectra_equal,
-    total_energy,
 )
 from .stream import (
     Binarizer,
@@ -36,9 +33,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdwinDetector", "FctConfig", "FctState", "RunReport", "WinnerRef", "run",
     "Forest", "SlidingAccuracy", "HoeffdingTree", "TreePath", "hoeffding_bound",
-    "Repository", "RepositoryEntry", "FourierSpectrum", "basis", "dft",
-    "dft_from_paths", "inverse_classify", "order_energy",
-    "path_coefficient_contribution", "spectra_equal", "total_energy",
+    "Repository", "RepositoryEntry", "FourierSpectrum", "dft",
+    "dft_from_paths", "inverse_classify", "path_coefficient_contribution",
+    "spectra_equal",
     "Binarizer", "ConceptSchedule", "Instance", "InstanceStream", "Schema",
     "Segment", "binarize", "file_stream", "hyperplane_stream", "rbf_stream",
     "recurring_schedule", "sea_stream",

@@ -30,23 +30,26 @@ from .stream import Instance, InstanceStream, Schema
 MODES = ("fct", "cbdt")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FctConfig:
+    """Run settings, checked once when the config is built.
+
+    Tree growth, evaluation windows and duplicate tolerance keep the
+    defaults of :class:`Forest` and :class:`Repository`.
+    """
+
     energy_threshold: float = 0.95
     winner_tie_margin: float = 0.01      # repo must trail by more to trigger a store
     repository_capacity: int = 50
     adwin_delta: float = 0.01
-    eval_window: int = 500
     label_delay: int = 200
     mode: str = "fct"
-    tree_cap: int = 50
-    max_node_count: int = 5000
-    split_confidence: float = 0.99
-    tie_threshold: float = 0.01
-    check_interval: int = 32
-    duplicate_tolerance: float = 0.01
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
+        """Raise ConfigError naming the command line key of a bad value."""
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ConfigError("energy", "must be in (0, 1]")
         if self.winner_tie_margin < 0.0:
@@ -55,16 +58,10 @@ class FctConfig:
             raise ConfigError("repo_cap", "must be >= 1")
         if not 0.0 < self.adwin_delta < 1.0:
             raise ConfigError("adwin_delta", "must be in (0, 1)")
-        if self.eval_window < 1:
-            raise ConfigError("eval_window", "must be >= 1")
         if self.label_delay < 0:
             raise ConfigError("delay", "must be >= 0")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {'/'.join(MODES)}")
-        if self.tree_cap < 1:
-            raise ConfigError("tree_cap", "must be >= 1")
-        if self.max_node_count < 3:
-            raise ConfigError("max_nodes", "must be >= 3")
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class WinnerRef:
 
     source: str            # "forest" or "repository"
     model_id: int          # tree index, or repository entry id
-    accuracy_at_selection: float
 
 
 @dataclass
@@ -110,24 +106,13 @@ class FctState:
 
     def __init__(self, schema: Schema, config: FctConfig,
                  calibration: Optional[list[Instance]] = None):
-        config.validate()
         self.config = config
         self.schema = schema
-        self.forest = Forest(
-            schema, tree_cap=config.tree_cap,
-            max_node_count=config.max_node_count,
-            eval_window=config.eval_window,
-            split_confidence=config.split_confidence,
-            tie_threshold=config.tie_threshold,
-            check_interval=config.check_interval,
-            calibration=calibration)
-        self.repository = Repository(
-            capacity=config.repository_capacity,
-            eval_window=config.eval_window,
-            duplicate_tolerance=config.duplicate_tolerance)
+        self.forest = Forest(schema, calibration=calibration)
+        self.repository = Repository(capacity=config.repository_capacity)
         self.detector = AdwinDetector(delta=config.adwin_delta)
         # before any evidence, tree 0 answers
-        self.winner = WinnerRef("forest", 0, 0.0)
+        self.winner = WinnerRef("forest", 0)
         self.pending: deque[tuple[Instance, int]] = deque()
         self.drift_count = 0
         self.drift_positions: list[int] = []
@@ -137,9 +122,8 @@ class FctState:
     def classify(self, features: np.ndarray) -> int:
         if self.winner.source == "forest":
             return self.forest.classify(self.winner.model_id, features)
+        # only on_drift evicts, and it stores only while a tree is the winner
         entry = self.repository.find(self.winner.model_id)
-        if entry is None:  # winner got evicted underneath us; fall back
-            return self.forest.classify(0, features)
         return inverse_classify(entry.spectrum, features)
 
     def step(self, inst: Instance,
@@ -174,7 +158,7 @@ class FctState:
         self.drift_count += 1
         ti, tree, tree_acc = self.forest.best_tree()
         if self.config.mode == "cbdt":
-            self._set_winner(WinnerRef("forest", ti, tree_acc))
+            self._set_winner(WinnerRef("forest", ti))
             self.detector = AdwinDetector(delta=self.config.adwin_delta)
             return
 
@@ -187,17 +171,17 @@ class FctState:
 
         best = self.repository.best()  # refreshed: insert may have evicted
         if best is not None and best[2] > tree_acc:
-            _, entry, acc = best
+            entry = best[1]
             entry.winner_tally += 1
-            self._set_winner(WinnerRef("repository", entry.entry_id, acc))
+            self._set_winner(WinnerRef("repository", entry.entry_id))
         else:
             # ties keep the forest answering
-            self._set_winner(WinnerRef("forest", ti, tree_acc))
+            self._set_winner(WinnerRef("forest", ti))
         # every drift restarts detection on the (possibly unchanged) winner
         self.detector = AdwinDetector(delta=self.config.adwin_delta)
 
     def _set_winner(self, ref: WinnerRef) -> None:
-        if (ref.source, ref.model_id) != (self.winner.source, self.winner.model_id):
+        if ref != self.winner:
             self.winner_switches.append((self.seen, ref.source, ref.model_id))
         self.winner = ref
 

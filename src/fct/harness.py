@@ -17,6 +17,7 @@ import csv
 import logging
 import os
 import sys
+from dataclasses import dataclass
 from typing import Optional
 
 from . import driver, stream
@@ -39,29 +40,52 @@ DATASETS = ("sea", "rbf", "hyperplane", "file")
 # detections at most this far after a boundary count as true positives
 DRIFT_MATCH_HORIZON = 2000
 
-DEFAULTS = {
-    "dataset": "sea",
-    "file": None,
-    "noise": 0.10,
-    "energy": 0.95,
-    "tau": 0.01,
-    "delay": 200,
-    "repo_cap": 50,
-    "adwin_delta": 0.01,
-    "seed": 1,
-    "segments": "4x5000x25",
-    "mode": "fct",
-    "out": "results",
-    "bits_per_attr": 3,
-    "window": 1000,
+
+@dataclass(frozen=True)
+class Option:
+    """One run option: how it parses, its default, and its command line help."""
+
+    type: type
+    default: object
+    help: str
+    sweepable: bool = False
+    choices: Optional[tuple] = None
+
+
+# The single declaration of every option; it drives the command line flags
+# (``--repo-cap`` for ``repo_cap``), config-file keys and sweeps.
+OPTIONS = {
+    "dataset": Option(str, "sea", "stream source", choices=DATASETS),
+    "file": Option(str, None, "input csv when --dataset file"),
+    "noise": Option(float, 0.10, "label flip probability", True),
+    "energy": Option(float, 0.95, "spectrum energy threshold", True),
+    "tau": Option(float, 0.01, "winner tie margin", True),
+    "delay": Option(int, 200, "label arrival delay", True),
+    "repo_cap": Option(int, 50, "repository capacity", True),
+    "adwin_delta": Option(float, 0.01, "detector confidence", True),
+    "seed": Option(int, 1, "stream seed", True),
+    "segments": Option(str, "4x5000x25", "COUNTxLENGTHxRECURRENCES"),
+    "mode": Option(str, "fct", "fct, or cbdt to disable the repository"),
+    "out": Option(str, "results", "output directory"),
+    "bits_per_attr": Option(int, 3, "bits per numeric attribute", True),
+    "window": Option(int, 1000, "metrics window size"),
 }
 
-_COERCE = {
-    "dataset": str, "file": str, "noise": float, "energy": float,
-    "tau": float, "delay": int, "repo_cap": int, "adwin_delta": float,
-    "seed": int, "segments": str, "mode": str, "out": str,
-    "bits_per_attr": int, "window": int,
-}
+DEFAULTS = {key: opt.default for key, opt in OPTIONS.items()}
+
+SWEEPABLE = tuple(key for key, opt in OPTIONS.items() if opt.sweepable)
+
+
+def _coerce(key: str, text: str):
+    """Parse a config-file or sweep value with its option's type."""
+    opt = OPTIONS[key]
+    try:
+        value = opt.type(text)
+    except ValueError:
+        raise ConfigError(key, f"cannot parse {text!r}") from None
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(key, f"must be one of {', '.join(opt.choices)}")
+    return value
 
 
 def parse_segments(text: str) -> tuple[int, int, int]:
@@ -113,7 +137,14 @@ def build_stream(opts: dict) -> stream.InstanceStream:
 
 
 def build_config(opts: dict) -> driver.FctConfig:
-    cfg = driver.FctConfig(
+    """The driver config of a full option set; checks every value once."""
+    if opts["noise"] < 0 or opts["noise"] > 1:
+        raise ConfigError("noise", "must be in [0, 1]")
+    if opts["bits_per_attr"] < 1:
+        raise ConfigError("bits_per_attr", "must be >= 1")
+    if opts["window"] < 1:
+        raise ConfigError("window", "must be >= 1")
+    return driver.FctConfig(
         energy_threshold=opts["energy"],
         winner_tie_margin=opts["tau"],
         repository_capacity=opts["repo_cap"],
@@ -121,16 +152,6 @@ def build_config(opts: dict) -> driver.FctConfig:
         label_delay=opts["delay"],
         mode=opts["mode"],
     )
-    cfg.validate()
-    if opts["noise"] < 0 or opts["noise"] > 1:
-        raise ConfigError("noise", "must be in [0, 1]")
-    if opts["bits_per_attr"] < 1:
-        raise ConfigError("bits_per_attr", "must be >= 1")
-    if opts["window"] < 1:
-        raise ConfigError("window", "must be >= 1")
-    if opts["dataset"] not in DATASETS:
-        raise ConfigError("dataset", f"must be one of {', '.join(DATASETS)}")
-    return cfg
 
 
 def _load_config_file(path: str) -> dict:
@@ -142,13 +163,10 @@ def _load_config_file(path: str) -> dict:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if not sep or key not in DEFAULTS:
+            if not sep or key not in OPTIONS:
                 raise ConfigError(key or f"line {lineno}",
                                   "unknown or malformed config entry")
-            try:
-                out[key] = _COERCE[key](value.strip())
-            except ValueError:
-                raise ConfigError(key, f"cannot parse {value.strip()!r}") from None
+            out[key] = _coerce(key, value.strip())
     return out
 
 
@@ -156,7 +174,7 @@ def _merge_options(ns: argparse.Namespace) -> dict:
     opts = dict(DEFAULTS)
     if getattr(ns, "config", None):
         opts.update(_load_config_file(ns.config))
-    for key in DEFAULTS:
+    for key in OPTIONS:
         v = getattr(ns, key, None)
         if v is not None:
             opts[key] = v
@@ -226,29 +244,19 @@ def run_once(opts: dict) -> driver.RunReport:
     return report
 
 
-SWEEPABLE = ("energy", "tau", "delay", "repo_cap", "adwin_delta", "noise",
-             "bits_per_attr", "seed")
-
-
 def run_sweep(opts: dict, parameter: str, values_text: str) -> None:
     """Re-run the same configuration varying one parameter; shared base seed."""
     if parameter not in SWEEPABLE:
         raise ConfigError("parameter", f"must be one of {', '.join(SWEEPABLE)}")
-    try:
-        values = [_COERCE[parameter](v.strip()) for v in values_text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError("values", "cannot parse value list") from None
+    values = [_coerce(parameter, v.strip()) for v in values_text.split(",") if v.strip()]
     if not values:
         raise ConfigError("values", "no values given")
     base_out = opts["out"]
-    rows = []
-    for v in values:
-        sub = dict(opts)
-        sub[parameter] = v
-        sub["out"] = os.path.join(base_out, f"{parameter}={v}")
-        build_config(sub)  # validate before the (possibly long) run
-        report = run_once(sub)
-        rows.append((v, report))
+    runs = [dict(opts, **{parameter: v, "out": os.path.join(base_out, f"{parameter}={v}")})
+            for v in values]
+    for sub in runs:
+        build_config(sub)  # every value is checked before the first (long) run
+    rows = [(sub[parameter], run_once(sub)) for sub in runs]
     os.makedirs(base_out, exist_ok=True)
     with open(os.path.join(base_out, "sweep.csv"), "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -265,23 +273,10 @@ def run_sweep(opts: dict, parameter: str, values_text: str) -> None:
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; command line wins")
-    p.add_argument("--dataset", choices=DATASETS)
-    p.add_argument("--file", help="input csv when --dataset file")
-    p.add_argument("--noise", type=float, help="label flip probability")
-    p.add_argument("--energy", type=float, help="spectrum energy threshold")
-    p.add_argument("--tau", type=float, help="winner tie margin")
-    p.add_argument("--delay", type=int, help="label arrival delay")
-    p.add_argument("--repo-cap", dest="repo_cap", type=int,
-                   help="repository capacity")
-    p.add_argument("--adwin-delta", dest="adwin_delta", type=float,
-                   help="detector confidence")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--segments", help="COUNTxLENGTHxRECURRENCES")
-    p.add_argument("--mode", choices=driver.MODES)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--bits-per-attr", dest="bits_per_attr", type=int,
-                   help="bits per numeric attribute")
-    p.add_argument("--window", type=int, help="metrics window size")
+    for key, opt in OPTIONS.items():
+        default = "" if opt.default is None else f" (default {opt.default})"
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=opt.type,
+                       choices=opt.choices, help=opt.help + default)
 
 
 def _parser() -> argparse.ArgumentParser:

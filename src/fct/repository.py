@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import SchemaError
 from .forest import SlidingAccuracy
-from .spectrum import FourierSpectrum, spectra_equal
+from .spectrum import FourierSpectrum, Packed, parity_sums, spectra_equal, stack
 from .stream import Instance
 
 
@@ -48,7 +48,7 @@ class Repository:
         self.duplicate_tolerance = duplicate_tolerance
         self.entries: list[RepositoryEntry] = []
         self._next_id = 0
-        self._cache: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._packed: Optional[Packed] = None  # every entry, one block each
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -76,26 +76,8 @@ class Repository:
         self.entries.append(RepositoryEntry(spectrum, self._next_id,
                                             self.eval_window))
         self._next_id += 1
-        self._cache = None
+        self._packed = stack([e.spectrum for e in self.entries])
         return True
-
-    def _eval_cache(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated coefficient matrices of all entries for batch scoring."""
-        if self._cache is None:
-            bit_blocks = []
-            val_blocks = []
-            offsets = [0]
-            for e in self.entries:
-                bits, vals = e.spectrum._dense_arrays()
-                bit_blocks.append(bits)
-                val_blocks.append(vals)
-                offsets.append(offsets[-1] + len(vals))
-            d = self.entries[0].spectrum.attribute_count if self.entries else 0
-            bits = (np.concatenate(bit_blocks, axis=0) if bit_blocks
-                    else np.zeros((0, d), dtype=np.uint8))
-            vals = np.concatenate(val_blocks) if val_blocks else np.zeros(0)
-            self._cache = (bits, vals, np.asarray(offsets))
-        return self._cache
 
     def observe(self, inst: Instance) -> None:
         """Score every entry's prediction of one labeled instance."""
@@ -112,11 +94,9 @@ class Repository:
 
     def classify_all(self, features: np.ndarray) -> np.ndarray:
         """Vector of per-entry class predictions for one instance."""
-        bits, vals, offsets = self._eval_cache()
-        overlap = bits @ features.astype(np.int64)  # per-coefficient parity count
-        signed = np.where(overlap & 1, -vals, vals)
-        csum = np.concatenate(([0.0], np.cumsum(signed)))
-        sums = csum[offsets[1:]] - csum[offsets[:-1]]
+        if not self.entries:
+            return np.zeros(0, dtype=np.uint8)
+        sums = parity_sums(self._packed, features[None, :])[0]
         return (sums >= 0.5).astype(np.uint8)
 
     def best(self) -> Optional[tuple[int, RepositoryEntry, float]]:

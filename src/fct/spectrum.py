@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,6 +28,12 @@ from .hoeffding import TreePath
 # (index bitmap share plus one float).
 COEFF_BYTES = 24
 SPECTRUM_HEADER_BYTES = 32
+
+# Spectra in array form: a uint8 index-bit matrix with one row per index in
+# sorted-mask order, the row values, and the row at which each spectrum (block)
+# starts. Every block begins with the empty index, 0.0 when it has no
+# coefficient there, so no block is empty.
+Packed = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -41,21 +47,23 @@ def _mask_bits(mask: int) -> list[int]:
     return out
 
 
-def _features_to_mask(features: Sequence[int]) -> int:
-    mask = 0
-    for a, bit in enumerate(features):
-        if bit:
-            mask |= 1 << a
-    return mask
+def parity_sums(packed: Packed, instances: np.ndarray) -> np.ndarray:
+    """Reconstructed values of every block at every instance, shape (n, blocks).
+
+    Entry (r, s) sums value * (-1)^|index & x_r| over the rows of block s.
+    The uint8 overlap count wraps modulo 256, which keeps its parity.
+    """
+    bits, values, starts = packed
+    parity = np.dot(np.asarray(instances, dtype=np.uint8), bits.T) & 1
+    return np.add.reduceat(np.where(parity, -values, values), starts, axis=1)
 
 
-def basis(j: Sequence[int], x: Sequence[int]) -> int:
-    """Parity basis value: -1 to the number of positions where both bits are 1."""
-    if len(j) != len(x):
-        raise SchemaError(f"basis index length {len(j)} != instance length {len(x)}")
-    overlap = int(np.bitwise_and(np.asarray(j, dtype=np.uint8),
-                                 np.asarray(x, dtype=np.uint8)).sum())
-    return -1 if overlap & 1 else 1
+def stack(spectra: Sequence[FourierSpectrum]) -> Packed:
+    """One packed operand holding each spectrum as its own block."""
+    rows = [len(s.packed[1]) for s in spectra]
+    return (np.concatenate([s.packed[0] for s in spectra]),
+            np.concatenate([s.packed[1] for s in spectra]),
+            np.cumsum([0] + rows[:-1]))
 
 
 def path_coefficient_contribution(path: TreePath, index_mask: int) -> float:
@@ -80,15 +88,23 @@ class FourierSpectrum:
     ``coefficients`` maps index bitmask -> value; exact zeros are not stored
     and read back as 0.0. ``order_cutoff`` is the first order whose retained
     energy bound met the threshold; ``captured_energy_fraction`` is retained
-    energy over the function's exact total energy.
+    energy over the function's exact total energy. ``packed`` is the same
+    table as a one-block :func:`parity_sums` operand, built at creation.
     """
 
     attribute_count: int
     coefficients: dict[int, float]
     order_cutoff: int
     captured_energy_fraction: float
-    _arrays: Optional[tuple[np.ndarray, np.ndarray]] = field(
-        default=None, repr=False, compare=False)
+    packed: Packed = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        masks = sorted(self.coefficients.keys() | {0})
+        bits = np.zeros((len(masks), self.attribute_count), dtype=np.uint8)
+        for i, m in enumerate(masks):
+            bits[i, _mask_bits(m)] = 1
+        values = np.array([self.value(m) for m in masks])
+        self.packed = (bits, values, np.zeros(1, dtype=np.intp))
 
     def value(self, index_mask: int) -> float:
         return self.coefficients.get(index_mask, 0.0)
@@ -106,30 +122,9 @@ class FourierSpectrum:
     def max_order(self) -> int:
         return max((m.bit_count() for m in self.coefficients), default=0)
 
-    def _dense_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(n_coeff, d) uint8 index-bit matrix and value vector, cached."""
-        if self._arrays is None:
-            n = len(self.coefficients)
-            bits = np.zeros((n, self.attribute_count), dtype=np.uint8)
-            vals = np.empty(n)
-            for i, (m, v) in enumerate(sorted(self.coefficients.items())):
-                for a in _mask_bits(m):
-                    bits[i, a] = 1
-                vals[i] = v
-            self._arrays = (bits, vals)
-        return self._arrays
-
     def evaluate(self, features: Sequence[int]) -> float:
         """Reconstructed function value at one instance."""
-        if len(features) != self.attribute_count:
-            raise SchemaError(
-                f"instance has {len(features)} attributes, spectrum expects "
-                f"{self.attribute_count}")
-        x = _features_to_mask(features)
-        total = 0.0
-        for m, v in self.coefficients.items():
-            total += -v if (m & x).bit_count() & 1 else v
-        return total
+        return float(self.evaluate_batch(np.asarray(features)[None, :])[0])
 
     def evaluate_batch(self, instances: np.ndarray) -> np.ndarray:
         """Reconstructed function values for a (n, d) 0/1 matrix of instances."""
@@ -137,11 +132,7 @@ class FourierSpectrum:
             raise SchemaError(
                 f"instance matrix shape {instances.shape} does not match "
                 f"attribute count {self.attribute_count}")
-        if not self.coefficients:
-            return np.zeros(instances.shape[0])
-        bits, vals = self._dense_arrays()
-        parity = (instances.astype(np.int64) @ bits.T.astype(np.int64)) & 1
-        return (1.0 - 2.0 * parity) @ vals
+        return parity_sums(self.packed, instances)[:, 0]
 
     def memory_bytes(self) -> int:
         return SPECTRUM_HEADER_BYTES + COEFF_BYTES * len(self.coefficients)
@@ -200,14 +191,6 @@ class FourierSpectrum:
 def inverse_classify(spectrum: FourierSpectrum, features: Sequence[int]) -> int:
     """Class from the reconstructed function value; 0.5 rounds up to class 1."""
     return 1 if spectrum.evaluate(features) >= 0.5 else 0
-
-
-def total_energy(spectrum: FourierSpectrum) -> float:
-    return spectrum.total_energy()
-
-
-def order_energy(spectrum: FourierSpectrum, order: int) -> float:
-    return spectrum.order_energy(order)
 
 
 def spectra_equal(a: FourierSpectrum, b: FourierSpectrum,

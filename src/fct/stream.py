@@ -407,6 +407,8 @@ def file_stream(path, schema_hints: Optional[dict] = None) -> InstanceStream:
             feats = np.array([float(v) for v in row[:-1]])
         except ValueError as e:
             raise RowParseError(lineno, str(e)) from None
+        if not np.isfinite(feats).all():
+            raise RowParseError(lineno, "attribute values must be finite numbers")
         cls = row[-1].strip()
         if cls not in class_map:
             if len(class_map) == 2:

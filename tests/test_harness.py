@@ -8,8 +8,11 @@ import pytest
 
 from fct.errors import ConfigError
 from fct.harness import (
+    DEFAULTS,
+    SWEEPABLE,
     _load_config_file,
     _merge_options,
+    _parser,
     main,
     parse_segments,
     run_sweep,
@@ -147,6 +150,23 @@ def test_config_file_errors(tmp_path):
         _load_config_file(str(no_eq))
 
 
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, key):
+    # each key parses the same way as --key on both commands and as a
+    # config-file key, so a full option set can be passed either way
+    text = "data.csv" if DEFAULTS[key] is None else str(DEFAULTS[key])
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    from_file = _load_config_file(str(cfg))[key]
+    assert DEFAULTS[key] is None or from_file == DEFAULTS[key]
+    flag = "--" + key.replace("_", "-")
+    for argv in (["run", flag, text],
+                 ["sweep", flag, text, "--parameter", "seed", "--values", "1"]):
+        value = getattr(_parser().parse_args(argv), key)
+        assert type(value) is type(from_file) and value == from_file
+    assert set(SWEEPABLE) <= DEFAULTS.keys()
+
+
 def test_config_file_drives_a_run(tmp_path):
     out = tmp_path / "r"
     cfg = tmp_path / "run.cfg"
@@ -168,6 +188,15 @@ def test_sweep_writes_summary_and_per_value_runs(tmp_path):
         assert 0.0 <= float(r["overall_acc"]) <= 1.0
     assert (out / "energy=0.4" / "metrics.csv").exists()
     assert (out / "energy=0.95" / "metrics.csv").exists()
+
+
+def test_sweep_checks_every_value_before_the_first_run(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--parameter", "energy", "--values", "0.4,0",
+                   *small_run_args(out)[1:])
+    assert code == 2
+    assert not (out / "energy=0.4").exists()
+    assert not (out / "sweep.csv").exists()
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

@@ -154,10 +154,13 @@ def test_classify_all_matches_per_spectrum_classification():
         repo.insert(dft(tree, 0.95))
     assert len(repo) >= 2
     inputs = all_inputs(d)
-    for row in inputs[:: max(1, len(inputs) // 40)]:
+    rows = inputs[:: max(1, len(inputs) // 40)]
+    batch = [e.spectrum.evaluate_batch(rows) for e in repo.entries]
+    for r, row in enumerate(rows):
         got = repo.classify_all(row.astype(np.int8))
         want = [inverse_classify(e.spectrum, row) for e in repo.entries]
         assert got.tolist() == want
+        assert got.tolist() == [int(values[r] >= 0.5) for values in batch]
 
 
 def test_memory_cost_is_sum_of_entries():

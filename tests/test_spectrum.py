@@ -150,7 +150,12 @@ def test_batch_evaluate_matches_scalar(rng):
     X = rng.integers(0, 2, size=(64, tree.schema.d)).astype(np.uint8)
     batch = spec.evaluate_batch(X)
     for i, x in enumerate(X):
-        assert batch[i] == pytest.approx(spec.evaluate(x), abs=1e-12)
+        # coefficients are sums of +-2^-depth terms: any summation order is
+        # exact, so the packed evaluator equals a plain parity loop
+        x_mask = sum(1 << a for a, bit in enumerate(x) if bit)
+        loop = sum(-v if (m & x_mask).bit_count() & 1 else v
+                   for m, v in spec.coefficients.items())
+        assert batch[i] == spec.evaluate(x) == loop
 
 
 def test_text_round_trip_preserves_values():

@@ -204,6 +204,14 @@ def test_file_stream_row_errors(tmp_path):
     with pytest.raises(RowParseError):
         list(file_stream(p2, {"calibration_size": 10}))
 
+    # non-finite values are refused inside and after the calibration window
+    for i, bad in enumerate(("nan", "inf", "-inf")):
+        p3 = _write(tmp_path, f"nonfinite{i}.csv", f"a,label\n1.0,x\n{bad},y\n")
+        for calibration_size in (10, 1):
+            with pytest.raises(RowParseError) as err:
+                list(file_stream(p3, {"calibration_size": calibration_size}))
+            assert err.value.line_number == 3
+
 
 def test_file_stream_rejects_three_classes(tmp_path):
     p = _write(tmp_path, "tri.csv", "a,label\n1,x\n2,y\n3,z\n")
