@@ -10,7 +10,6 @@ from .spectrum import (
     dft,
     dft_from_paths,
     inverse_classify,
-    path_coefficient_contribution,
     spectra_equal,
 )
 from .stream import (
@@ -34,8 +33,7 @@ __all__ = [
     "AdwinDetector", "FctConfig", "FctState", "RunReport", "WinnerRef", "run",
     "Forest", "SlidingAccuracy", "HoeffdingTree", "TreePath", "hoeffding_bound",
     "Repository", "RepositoryEntry", "FourierSpectrum", "dft",
-    "dft_from_paths", "inverse_classify", "path_coefficient_contribution",
-    "spectra_equal",
+    "dft_from_paths", "inverse_classify", "spectra_equal",
     "Binarizer", "ConceptSchedule", "Instance", "InstanceStream", "Schema",
     "Segment", "binarize", "file_stream", "hyperplane_stream", "rbf_stream",
     "recurring_schedule", "sea_stream",

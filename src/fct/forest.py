@@ -3,6 +3,8 @@
 One tree per (selected) attribute, each forced to split on its attribute at
 the root so the pool covers diverse first splits. All trees share a node
 budget; when it is exhausted the trees keep classifying but stop growing.
+They also share one leaf table, so training on an instance routes each tree
+once and adds the instance to every tree's leaf in one indexed update.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotReadyError
-from .hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
+from .hoeffding import NODE_BYTES, HoeffdingTree, LeafTable, NodeBudget
 from .stream import Instance, Schema
 
 # Documented cost-model constant: fixed accounting size of one sliding
@@ -107,11 +109,14 @@ class Forest:
         self.schema = schema
         self.root_attributes = roots
         self.budget = NodeBudget(max_node_count)
+        # two leaves per pre-rooted tree; the table doubles as trees grow
+        self.table = LeafTable(d, rows=2 * n_trees)
         self.trees = [
             HoeffdingTree(schema, split_confidence=split_confidence,
                           tie_threshold=tie_threshold,
                           check_interval=check_interval,
-                          root_attribute=a, budget=self.budget)
+                          root_attribute=a, budget=self.budget,
+                          table=self.table)
             for a in roots
         ]
         self.estimators = [SlidingAccuracy(eval_window) for _ in roots]
@@ -120,12 +125,22 @@ class Forest:
         return len(self.trees)
 
     def train(self, inst: Instance) -> None:
-        """Score each tree on the instance first, then let it learn."""
+        """Score each tree on the instance first, then let it learn.
+
+        Trees split in tree order, so they claim the shared budget in the
+        same order as training them one after another would.
+        """
         feats = inst.features
         label = inst.label
+        x = feats.tolist()
+        leaves = []
         for tree, est in zip(self.trees, self.estimators):
-            est.update(tree.classify(feats) == label)
-            tree.train(feats, label)
+            leaf = tree._route(x)
+            est.update(tree._leaf_label(leaf, x) == label)
+            leaves.append(leaf)
+        self.table.add([leaf.row for leaf in leaves], feats, label)
+        for tree, leaf in zip(self.trees, leaves):
+            tree._learn(leaf, label)
 
     def classify(self, tree_index: int, features: np.ndarray) -> int:
         return self.trees[tree_index].classify(features)

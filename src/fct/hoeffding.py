@@ -3,7 +3,9 @@
 Leaves accumulate per-attribute class counts and are split once an
 information-gain lead clears the Hoeffding bound (or the bound is small
 enough to call it a tie). Trees can be pre-rooted on a chosen attribute so a
-forest can pin one tree per attribute.
+forest can pin one tree per attribute. The per-attribute counts of every leaf
+are rows of one :class:`LeafTable`, which a forest shares between its trees so
+that one instance updates all of them in a single indexed add.
 """
 
 from __future__ import annotations
@@ -64,20 +66,61 @@ class NodeBudget:
         self.used -= n
 
 
+class LeafTable:
+    """Per-attribute class counts of many leaves, one row per leaf.
+
+    ``stats[row, a, v, c]`` counts the instances seen at the leaf holding
+    ``row`` with attribute a == v and class c. A split leaf's row is zeroed
+    and reused; when no row is free the table doubles.
+    """
+
+    def __init__(self, d: int, rows: int = 4):
+        self.stats = np.zeros((rows, d, 2, 2), dtype=np.int64)
+        self.free_rows = list(range(rows - 1, -1, -1))  # pop() takes the lowest
+        # flat index of stats[row, a, v, c] is row*4d + 4a + 2v + c
+        self._row_stride = 4 * d
+        self._attr_offsets = 4 * np.arange(d, dtype=np.int64)
+
+    def alloc(self) -> int:
+        if not self.free_rows:
+            n = len(self.stats)
+            # a large np.zeros block is mapped lazily, so the new half costs
+            # no resident memory until rows there are first written
+            grown = np.zeros((2 * n,) + self.stats.shape[1:], dtype=np.int64)
+            grown[:n] = self.stats
+            self.stats = grown
+            self.free_rows = list(range(2 * n - 1, n - 1, -1))
+        return self.free_rows.pop()
+
+    def release(self, row: int) -> None:
+        self.stats[row] = 0
+        self.free_rows.append(row)
+
+    def add(self, rows: list[int], features: np.ndarray, label: int) -> None:
+        """Count one instance at each of ``rows``, which must be distinct."""
+        idx = (np.array(rows)[:, None] * self._row_stride
+               + (self._attr_offsets + 2 * features + label))
+        # distinct rows make every index distinct, so a buffered += is exact
+        self.stats.reshape(-1)[idx] += 1
+
+
 class _Node:
     __slots__ = ("split_attribute", "children", "frozen_counts",
-                 "seed_counts", "counts", "attr_stats", "since_check", "banned")
+                 "seed_counts", "counts", "row", "since_check", "banned")
 
     def __init__(self, d: int, banned: frozenset,
-                 seed_counts: Optional[np.ndarray] = None):
+                 seed_counts: Optional[np.ndarray] = None,
+                 row: Optional[int] = None):
+        # d sizes nothing here: a leaf's (d, 2, 2) counts are row ``row`` of
+        # its tree's LeafTable. Split nodes and hand-built nodes hold no row,
+        # and training a leaf without one fails in LeafTable.add.
         self.split_attribute: Optional[int] = None
         self.children: Optional[list[_Node]] = None
         self.frozen_counts: Optional[np.ndarray] = None  # set when the node splits
         self.seed_counts = seed_counts if seed_counts is not None \
             else np.zeros(2, dtype=np.int64)
         self.counts = np.zeros(2, dtype=np.int64)
-        # attr_stats[a, v, c]: observed count of attribute a == v with class c
-        self.attr_stats = np.zeros((d, 2, 2), dtype=np.int64)
+        self.row = row
         self.since_check = 0
         self.banned = banned
 
@@ -114,65 +157,90 @@ class HoeffdingTree:
     def __init__(self, schema: Schema, split_confidence: float = 0.99,
                  tie_threshold: float = 0.01, check_interval: int = 32,
                  root_attribute: Optional[int] = None,
-                 budget: Optional[NodeBudget] = None):
+                 budget: Optional[NodeBudget] = None,
+                 table: Optional[LeafTable] = None):
+        """``table`` holds the leaf statistics; a tree without one makes its own."""
         if not 0.0 < split_confidence < 1.0:
             raise ValueError("split_confidence must be in (0,1)")
         if check_interval < 1:
             raise ValueError("check_interval must be >= 1")
+        d = schema.d
+        if table is None:
+            table = LeafTable(d)
+        elif table.stats.shape[1] != d:
+            raise ValueError(f"leaf table has {table.stats.shape[1]} "
+                             f"attributes, schema has {d}")
         self.schema = schema
         self.delta = 1.0 - split_confidence
         self.tie_threshold = tie_threshold
         self.check_interval = check_interval
         self.budget = budget if budget is not None else _NullBudget()
-        d = schema.d
+        self.table = table
         if root_attribute is not None:
             if not 0 <= root_attribute < d:
                 raise ValueError(f"root attribute {root_attribute} out of range")
             # pre-split root: 1 internal node + 2 empty leaves
-            self.budget.try_claim(3)
+            if not self.budget.try_claim(3):
+                raise ValueError("node budget cannot hold the 3 nodes "
+                                 "of a pre-rooted tree")
             root = _Node(d, frozenset())
             root.split_attribute = root_attribute
             root.frozen_counts = np.zeros(2, dtype=np.int64)
             banned = frozenset((root_attribute,))
-            root.children = [_Node(d, banned), _Node(d, banned)]
+            root.children = [_Node(d, banned, row=table.alloc()),
+                             _Node(d, banned, row=table.alloc())]
             self.root = root
             self.node_count = 3
         else:
             self.budget.try_claim(1)
-            self.root = _Node(d, frozenset())
+            self.root = _Node(d, frozenset(), row=table.alloc())
             self.node_count = 1
 
-    def _route(self, features: np.ndarray) -> tuple[_Node, Optional[np.ndarray]]:
-        """Leaf for this feature vector plus the nearest non-empty fallback counts."""
+    def _route(self, x) -> _Node:
+        """Leaf reached by the 0/1 feature sequence ``x``."""
         node = self.root
-        fallback = None
-        while not node.is_leaf:
+        while node.children is not None:
+            node = node.children[x[node.split_attribute]]
+        return node
+
+    def _leaf_label(self, leaf: _Node, x) -> int:
+        """Class of ``leaf``, which ``x`` reaches: the majority of its seed
+        plus own counts, else that of the deepest ancestor that had seen data
+        when it split, else 0."""
+        s0, s1 = leaf.seed_counts.tolist()
+        c0, c1 = leaf.counts.tolist()
+        n0 = s0 + c0
+        n1 = s1 + c1
+        if n0 or n1:
+            return 1 if n1 > n0 else 0  # tie breaks toward class 0
+        label = 0
+        node = self.root
+        while node is not leaf:
             fc = node.frozen_counts
             if fc is not None and fc.sum() > 0:
-                fallback = fc
-            node = node.children[int(features[node.split_attribute])]
-        return node, fallback
+                label = _majority(fc)
+            node = node.children[x[node.split_attribute]]
+        return label
 
-    def classify(self, features: np.ndarray) -> int:
-        leaf, fallback = self._route(features)
-        totals = leaf.total_counts()
-        if totals.sum() > 0:
-            return _majority(totals)
-        if fallback is not None:
-            return _majority(fallback)
-        return 0
-
-    def train(self, features: np.ndarray, label: int) -> None:
-        leaf, _ = self._route(features)
+    def _learn(self, leaf: _Node, label: int) -> None:
+        """Class-count and split bookkeeping once ``leaf``'s row holds the
+        instance."""
         leaf.counts[label] += 1
-        leaf.attr_stats[np.arange(self.schema.d), features, label] += 1
         leaf.since_check += 1
         if leaf.since_check >= self.check_interval:
             leaf.since_check = 0
             self._maybe_split(leaf)
 
+    def classify(self, features: np.ndarray) -> int:
+        return self._leaf_label(self._route(features), features)
+
+    def train(self, features: np.ndarray, label: int) -> None:
+        leaf = self._route(features)
+        self.table.add([leaf.row], features, label)
+        self._learn(leaf, label)
+
     def _gains(self, leaf: _Node) -> np.ndarray:
-        stats = leaf.attr_stats
+        stats = self.table.stats[leaf.row]
         n = leaf.counts.sum()
         h0 = _entropy(leaf.counts)
         nv = stats.sum(axis=2)  # (d, 2) counts per attribute value
@@ -208,14 +276,13 @@ class HoeffdingTree:
             return
         d = self.schema.d
         banned = leaf.banned | {attr}
-        children = []
-        for v in (0, 1):
-            child = _Node(d, banned, seed_counts=leaf.attr_stats[attr, v].copy())
-            children.append(child)
+        seeds = self.table.stats[leaf.row, attr].copy()
+        self.table.release(leaf.row)
+        leaf.row = None
         leaf.split_attribute = attr
         leaf.frozen_counts = leaf.total_counts()
-        leaf.children = children
-        leaf.attr_stats = np.zeros((0, 2, 2), dtype=np.int64)  # free the stats
+        leaf.children = [_Node(d, banned, seed_counts=seeds[v],
+                               row=self.table.alloc()) for v in (0, 1)]
         self.node_count += 2
 
     def extract_paths(self) -> list[TreePath]:

@@ -66,21 +66,6 @@ def stack(spectra: Sequence[FourierSpectrum]) -> Packed:
             np.cumsum([0] + rows[:-1]))
 
 
-def path_coefficient_contribution(path: TreePath, index_mask: int) -> float:
-    """Additive share of one root-to-leaf path in one coefficient.
-
-    Zero unless every attribute of the index is tested on the path; otherwise
-    the path's leaf weight 2**-depth times its class value, signed by the
-    parity of the index restricted to the path's 1-branches.
-    """
-    if index_mask & ~path.defined_mask:
-        return 0.0
-    if path.label == 0:
-        return 0.0
-    sign = -1.0 if (index_mask & path.ones_mask).bit_count() & 1 else 1.0
-    return math.ldexp(1.0, -path.depth) * sign
-
-
 @dataclass
 class FourierSpectrum:
     """Sparse coefficient table plus the bookkeeping of its truncation.

@@ -1,12 +1,15 @@
-"""Shared helpers: hand-built trees, an independent Walsh transform, and
-random tree growth used by several suites."""
+"""Shared helpers: hand-built trees, an independent Walsh transform, the
+share of one path in one coefficient, and random tree growth used by several
+suites."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from fct.hoeffding import HoeffdingTree, _Node
+from fct.hoeffding import HoeffdingTree, TreePath, _Node
 from fct.stream import Schema
 
 
@@ -69,6 +72,21 @@ def walsh_brute_force(f_values: np.ndarray) -> np.ndarray:
             vals[start + h:start + 2 * h] = a - b
         h *= 2
     return vals / n
+
+
+def path_coefficient_contribution(path: TreePath, index_mask: int) -> float:
+    """Additive share of one root-to-leaf path in one coefficient.
+
+    Zero unless every attribute of the index is tested on the path; otherwise
+    the path's leaf weight 2**-depth times its class value, signed by the
+    parity of the index restricted to the path's 1-branches.
+    """
+    if index_mask & ~path.defined_mask:
+        return 0.0
+    if path.label == 0:
+        return 0.0
+    sign = -1.0 if (index_mask & path.ones_mask).bit_count() & 1 else 1.0
+    return math.ldexp(1.0, -path.depth) * sign
 
 
 def grow_random_tree(seed: int, d: int | None = None,

@@ -5,7 +5,7 @@ import pytest
 
 from fct.errors import NotReadyError
 from fct.forest import ESTIMATOR_BYTES, Forest, SlidingAccuracy
-from fct.hoeffding import NODE_BYTES
+from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
 from fct.stream import Instance
 
 from conftest import schema_of
@@ -154,3 +154,66 @@ def test_sliding_accuracy_window_semantics():
     assert est.accuracy == pytest.approx(1 / 3)
     with pytest.raises(ValueError):
         SlidingAccuracy(0)
+
+
+def _nodes(node):
+    yield node
+    for child in node.children or ():
+        yield from _nodes(child)
+
+
+@pytest.mark.parametrize("max_node_count, check_interval",
+                         [(10_000, 32), (24, 4)])
+def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
+                                                          check_interval):
+    """Forest.train equals scoring then training each tree in turn.
+
+    The reference trees share a budget of the same size and each keeps its
+    own leaf table. With 24 nodes and checks every 4 labels, two trees ask
+    for the last free nodes at the same instance, so the second case also
+    checks that trees claim the budget in tree order.
+    """
+    d, n = 6, 3000
+    rng = np.random.default_rng(21)
+    w = np.exp(rng.normal(0.0, 1.5, size=d))
+    X = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
+    y = (X @ w > 0.5 * w.sum()).astype(int)
+    y ^= rng.random(n) < 0.05
+    forest = Forest(schema_of(d), max_node_count=max_node_count,
+                    eval_window=n, check_interval=check_interval)
+    budget = NodeBudget(max_node_count)
+    trees = [HoeffdingTree(schema_of(d), check_interval=check_interval,
+                           root_attribute=a, budget=budget)
+             for a in forest.root_attributes]
+    hits = [0] * len(trees)
+    for inst in _instances(X, y):
+        forest.train(inst)
+        for i, tree in enumerate(trees):
+            hits[i] += tree.classify(inst.features) == inst.label
+            tree.train(inst.features, inst.label)
+
+    assert forest.total_node_count() > 3 * len(forest)  # the trees split
+    assert forest.budget.used == budget.used
+    table = forest.table
+    assert len(table.stats) > 2 * len(forest)  # the table grew
+    held = []
+    for i, (ftree, tree) in enumerate(zip(forest.trees, trees)):
+        assert ftree.extract_paths() == tree.extract_paths()
+        assert ftree.leaf_count() == tree.leaf_count()
+        assert ftree.node_count == tree.node_count
+        assert forest.estimators[i].accuracy == hits[i] / n
+        for fnode, node in zip(_nodes(ftree.root), _nodes(tree.root)):
+            if fnode.is_leaf:
+                stats = table.stats[fnode.row]
+                assert (stats == tree.table.stats[node.row]).all()
+                assert (fnode.counts == node.counts).all()
+                assert (fnode.seed_counts == node.seed_counts).all()
+                # per attribute, the two values split the leaf's class counts
+                assert (stats.sum(axis=1) == fnode.counts).all()
+                held.append(fnode.row)
+            else:
+                assert fnode.row is None
+    assert len(set(held)) == len(held)
+    assert not set(held) & set(table.free_rows)
+    assert len(held) + len(table.free_rows) == len(table.stats)
+    assert not table.stats[table.free_rows].any()

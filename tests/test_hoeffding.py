@@ -172,6 +172,10 @@ def test_constructor_validation():
         HoeffdingTree(schema_of(2), split_confidence=1.0)
     with pytest.raises(ValueError):
         HoeffdingTree(schema_of(2), check_interval=0)
+    budget = NodeBudget(2)
+    with pytest.raises(ValueError):
+        HoeffdingTree(schema_of(3), root_attribute=0, budget=budget)
+    assert budget.used == 0
 
 
 def test_dump_mentions_attribute_names(rng):

@@ -79,7 +79,7 @@ def test_half_rounds_up_to_class_one():
 
 def test_path_contribution_requires_subset():
     # an index touching an attribute the path never tests contributes nothing
-    from fct.spectrum import path_coefficient_contribution
+    from conftest import path_coefficient_contribution
     p = TreePath(0b011, 0b001, 1)
     assert path_coefficient_contribution(p, 0b100) == 0.0
     assert path_coefficient_contribution(p, 0b010) == pytest.approx(0.25)
