@@ -2,20 +2,52 @@
 
 The window is held as an exponential histogram: row i stores buckets that
 each summarize 2**i observations, newest first, and at most ``max_buckets``+1
-buckets per row before the two oldest merge one row up. Every insert rescans
-the bucket boundaries; a boundary whose two sides differ in mean by more than
-a Hoeffding-style cut threshold drops the oldest bucket, and the scan repeats
-until no boundary is in violation.
+buckets per row before the two oldest merge one row up. The boundary after
+each bucket splits the window into an old side (``n0`` observations, ``s0``
+errors) and a new side (``n1``, ``s1``). When some boundary with at least
+``min_side`` observations on each side has side means that differ by at least
+
+    eps = sqrt(ln(4 w / delta) / (2 m)),   m = 1 / (1/n0 + 1/n1),
+
+the oldest bucket is dropped, and this repeats until no boundary violates
+the rule (Bifet & Gavalda, SDM 2007).
+
+Only boundaries that could now violate the rule are tested. A boundary's old
+side is counted from the detector's creation (its absolute end ``pos`` and
+error count), so between two cuts it never changes: an add appends one
+boundary at the newest end, and a merge deletes only the boundary between
+the two buckets it joins. Only a cut, which drops the oldest bucket, shifts
+every ``n0``. After a boundary passes the test, over the next ``k`` adds
+with ``r = k / (n1 + k)``:
+
+* the new-side mean moves by at most ``c r``, ``c = max(mu1, 1 - mu1)``,
+  because ``mu1' - mu1 = (j/k - mu1) r`` for the ``j <= k`` new errors;
+* ``eps' >= eps sqrt(1 - r)``, because ``1/n0 + 1/(n1 + k)`` is at least
+  ``(1/n0 + 1/n1)(1 - r)`` and ``ln(4 w / delta)`` only grows with ``w``.
+
+So with ``s = sqrt(1 - r)`` and ``d`` the current mean gap the boundary
+cannot fire while ``eps s - c (1 - s**2) - d > SKIP_MARGIN``. The left side
+falls as ``k`` grows, so the largest safe ``k`` comes from the positive root
+of that quadratic in ``s``; the margin absorbs the rounding of these floats
+and of the test itself. The boundary is next tested when that ``k`` runs out
+(its due clock, kept in a heap). After a cut, or an add that skipped the
+test because the window was too short or all one value, every boundary is
+due at once, which is the full rescan of the rule. A change to the cut rule,
+such as a variance-aware (Bernstein) threshold, must re-derive this bound.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 
 # Documented cost-model constants for memory accounting.
 BUCKET_BYTES = 16
 DETECTOR_HEADER_BYTES = 32
+
+# Slack on the skip bound; far above the float rounding of the cut test.
+SKIP_MARGIN = 1e-9
 
 
 class AdwinDetector:
@@ -32,6 +64,14 @@ class AdwinDetector:
         self.rows: list[deque] = [deque()]
         self.width = 0
         self.total = 0
+        # ends[i][j]: absolute end position of bucket rows[i][j]
+        self._ends: list[deque] = [deque()]
+        self._errors_at: dict[int, int] = {}  # live boundary pos -> errors up to it
+        self._seen = 0       # observations ever added
+        self._dropped = 0    # observations ever cut, = pos of the last dropped bucket
+        self._dropped_errors = 0
+        self._due: list[tuple[int, int]] = []  # heap of (clock, pos)
+        self._rescan = True  # every boundary is due
 
     @property
     def mean(self) -> float:
@@ -44,6 +84,12 @@ class AdwinDetector:
         self.rows[0].appendleft(bit)
         self.width += 1
         self.total += bit
+        self._seen += 1
+        pos = self._seen
+        self._ends[0].appendleft(pos)
+        self._errors_at[pos] = self._dropped_errors + self.total
+        if not self._rescan:
+            heapq.heappush(self._due, (pos + self.min_side, pos))
         self._compress()
         return self._shrink()
 
@@ -52,10 +98,13 @@ class AdwinDetector:
         while i < len(self.rows) and len(self.rows[i]) > self.max_buckets + 1:
             if i + 1 == len(self.rows):
                 self.rows.append(deque())
+                self._ends.append(deque())
             oldest = self.rows[i].pop()
             second = self.rows[i].pop()
             # merged bucket is still newer than everything one row up
             self.rows[i + 1].appendleft(oldest + second)
+            del self._errors_at[self._ends[i].pop()]
+            self._ends[i + 1].appendleft(self._ends[i].pop())
             i += 1
 
     def _drop_oldest(self) -> None:
@@ -64,37 +113,65 @@ class AdwinDetector:
                 s = self.rows[i].pop()
                 self.width -= 1 << i
                 self.total -= s
+                self._dropped = self._ends[i].pop()
+                self._dropped_errors = self._errors_at.pop(self._dropped)
+                self._rescan = True
                 return
 
     def _shrink(self) -> bool:
         cut = False
         while self.width >= 2 * self.min_side and 0 < self.total < self.width:
-            if not self._scan_once():
-                break
+            if not self._violated():
+                return cut
             self._drop_oldest()
             cut = True
+        # no boundary was tested, so none was rescheduled: test all next time
+        self._rescan = True
         return cut
 
-    def _scan_once(self) -> bool:
-        """True when some bucket boundary violates the cut threshold."""
+    def _violated(self) -> bool:
+        """True when some due boundary violates the cut threshold; every
+        due boundary that holds gets its next due clock."""
+        now = self._seen
+        due = self._due
+        if self._rescan:
+            # positions ascend in insertion order, so the list is a heap
+            due[:] = [(now, pos) for pos in self._errors_at]
+            self._rescan = False
+        if not due or due[0][0] > now:
+            return False
         w = self.width
+        total = self.total
+        min_side = self.min_side
+        errors_at = self._errors_at
+        dropped = self._dropped
+        dropped_errors = self._dropped_errors
         log_term = math.log(4.0 * w / self.delta)
-        n0 = 0
-        s0 = 0
-        for i in range(len(self.rows) - 1, -1, -1):
-            size = 1 << i
-            for s in reversed(self.rows[i]):  # oldest bucket first
-                n0 += size
-                s0 += s
-                n1 = w - n0
-                if n1 < self.min_side:
-                    return False
-                if n0 < self.min_side:
-                    continue
-                m = 1.0 / (1.0 / n0 + 1.0 / n1)
-                eps = math.sqrt(log_term / (2.0 * m))
-                if abs(s0 / n0 - (self.total - s0) / n1) >= eps:
-                    return True
+        while due and due[0][0] <= now:
+            pos = heapq.heappop(due)[1]
+            errors = errors_at.get(pos)
+            if errors is None:  # merged away
+                continue
+            n0 = pos - dropped
+            if n0 < min_side:  # stays too short until the next cut
+                continue
+            n1 = w - n0
+            if n1 < min_side:
+                heapq.heappush(due, (now + min_side - n1, pos))
+                continue
+            s0 = errors - dropped_errors
+            m = 1.0 / (1.0 / n0 + 1.0 / n1)
+            eps = math.sqrt(log_term / (2.0 * m))
+            mu1 = (total - s0) / n1
+            gap = abs(s0 / n0 - mu1)
+            if gap >= eps:
+                return True
+            # largest k with eps s + c s^2 - (c + gap + margin) > 0
+            c = mu1 if mu1 > 0.5 else 1.0 - mu1
+            q = c + gap + SKIP_MARGIN
+            inv_s = (eps + math.sqrt(eps * eps + 4.0 * c * q)) / (2.0 * q)
+            skip = n1 * (inv_s * inv_s - 1.0)
+            heapq.heappush(due, (now + 1 + int(skip) if skip > 0.0 else now + 1, pos))
         return False
 
     def bucket_count(self) -> int:

@@ -192,7 +192,8 @@ class HoeffdingTree:
             self.root = root
             self.node_count = 3
         else:
-            self.budget.try_claim(1)
+            if not self.budget.try_claim(1):
+                raise ValueError("node budget cannot hold the root")
             self.root = _Node(d, frozenset(), row=table.alloc())
             self.node_count = 1
 

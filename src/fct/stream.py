@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -149,21 +150,29 @@ class Binarizer:
             f"f{i+1}" for i in range(len(bits))
         ]
         self.output_width = sum(bits)
+        # per attribute: None (passthrough) or (sorted thresholds, code -> bits)
+        self._coders: list[Optional[tuple[list[float], list[tuple[int, ...]]]]] = [
+            None if th is None else (
+                [float(t) for t in th],
+                [tuple((code >> (b - 1 - k)) & 1 for k in range(b))
+                 for code in range(len(th) + 1)],
+            )
+            for th, b in zip(thresholds, bits)
+        ]
 
     def transform_row(self, row: Sequence[float]) -> np.ndarray:
-        out = np.empty(self.output_width, dtype=np.uint8)
-        pos = 0
-        for a, (th, b) in enumerate(zip(self.thresholds, self.bits)):
-            v = row[a]
-            if th is None:
-                out[pos] = 1 if v > 0.5 else 0
-                pos += 1
+        """Code each value by the number of thresholds strictly below it
+        (``np.searchsorted(th, v, side="left")``); NaN takes the top code."""
+        values = row.tolist() if isinstance(row, np.ndarray) else row
+        out: list[int] = []
+        for a, coder in enumerate(self._coders):
+            v = values[a]
+            if coder is None:
+                out.append(1 if v > 0.5 else 0)
                 continue
-            code = int(np.searchsorted(th, v, side="left"))
-            for k in range(b):
-                out[pos + k] = (code >> (b - 1 - k)) & 1
-            pos += b
-        return out
+            th, table = coder
+            out.extend(table[len(th) if v != v else bisect_left(th, v)])
+        return np.array(out, dtype=np.uint8)
 
     def output_names(self) -> tuple[str, ...]:
         names = []

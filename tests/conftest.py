@@ -8,6 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run; no deadline, because a
+# loaded machine can stretch one example past any fixed limit.
+settings.register_profile("repeatable", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("repeatable")
 
 from fct.hoeffding import HoeffdingTree, TreePath, _Node
 from fct.stream import Schema

@@ -1,11 +1,82 @@
-"""Change-detector behavior, including a naive reference cross-check."""
+"""Change-detector behavior, including a naive reference cross-check and a
+full-scan oracle for the lazy boundary checks."""
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fct.adwin import BUCKET_BYTES, DETECTOR_HEADER_BYTES, AdwinDetector
+
+
+class FullScanAdwin:
+    """The bucketed detector that tests every boundary on every add.
+
+    Same histogram and cut rule as :class:`AdwinDetector`, without the skip
+    bound: after each insert it rescans all bucket boundaries, oldest first,
+    and drops the oldest bucket while some boundary violates the rule.
+    """
+
+    def __init__(self, delta=0.01, max_buckets=5, min_side=5):
+        self.delta = delta
+        self.max_buckets = max_buckets
+        self.min_side = min_side
+        self.rows = [deque()]  # rows[i]: sums of 2**i-sized buckets, newest first
+        self.width = 0
+        self.total = 0
+
+    def add(self, bit: int) -> bool:
+        self.rows[0].appendleft(bit)
+        self.width += 1
+        self.total += bit
+        i = 0
+        while i < len(self.rows) and len(self.rows[i]) > self.max_buckets + 1:
+            if i + 1 == len(self.rows):
+                self.rows.append(deque())
+            oldest = self.rows[i].pop()
+            second = self.rows[i].pop()
+            self.rows[i + 1].appendleft(oldest + second)
+            i += 1
+        cut = False
+        while self.width >= 2 * self.min_side and 0 < self.total < self.width:
+            if not self._scan_once():
+                break
+            self._drop_oldest()
+            cut = True
+        return cut
+
+    def _drop_oldest(self) -> None:
+        for i in range(len(self.rows) - 1, -1, -1):
+            if self.rows[i]:
+                self.total -= self.rows[i].pop()
+                self.width -= 1 << i
+                return
+
+    def _scan_once(self) -> bool:
+        w = self.width
+        log_term = math.log(4.0 * w / self.delta)
+        n0 = 0
+        s0 = 0
+        for i in range(len(self.rows) - 1, -1, -1):
+            size = 1 << i
+            for s in reversed(self.rows[i]):  # oldest bucket first
+                n0 += size
+                s0 += s
+                n1 = w - n0
+                if n1 < self.min_side:
+                    return False
+                if n0 < self.min_side:
+                    continue
+                m = 1.0 / (1.0 / n0 + 1.0 / n1)
+                eps = math.sqrt(log_term / (2.0 * m))
+                if abs(s0 / n0 - (self.total - s0) / n1) >= eps:
+                    return True
+        return False
+
+    def bucket_count(self) -> int:
+        return sum(len(r) for r in self.rows)
 
 
 class ReferenceAdwin:
@@ -181,3 +252,47 @@ def test_memory_cost_model():
         det.add(0)
     assert det.memory_bytes() == \
         DETECTOR_HEADER_BYTES + BUCKET_BYTES * det.bucket_count()
+
+
+# Piecewise-Bernoulli error streams: segments of fixed error rate, so the
+# rate jumps and the window is cut.
+piecewise_streams = st.tuples(
+    st.lists(st.tuples(st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.5, 0.8, 1.0]),
+                       st.integers(min_value=1, max_value=700)),
+             min_size=1, max_size=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def _bits(stream) -> list[int]:
+    segments, seed = stream
+    rng = np.random.default_rng(seed)
+    return [int(b) for p, n in segments for b in rng.random(n) < p]
+
+
+@settings(max_examples=60)
+@given(piecewise_streams,
+       st.sampled_from([1e-5, 0.002, 0.01, 0.1, 0.5]),
+       st.sampled_from([1, 2, 5]),
+       st.sampled_from([1, 3, 5, 10]))
+def test_lazy_checks_match_full_scan_after_every_add(stream, delta, max_buckets,
+                                                     min_side):
+    det = AdwinDetector(delta, max_buckets, min_side)
+    oracle = FullScanAdwin(delta, max_buckets, min_side)
+    for i, bit in enumerate(_bits(stream)):
+        got = (det.add(bit), det.width, det.total, det.bucket_count())
+        want = (oracle.add(bit), oracle.width, oracle.total,
+                oracle.bucket_count())
+        assert got == want, f"diverged at add {i}"
+
+
+@settings(max_examples=30)
+@given(piecewise_streams, st.sampled_from([1e-5, 0.01, 0.5]),
+       st.sampled_from([1, 5]))
+def test_window_accounting_holds_after_every_add(stream, delta, max_buckets):
+    det = AdwinDetector(delta, max_buckets)
+    for bit in _bits(stream):
+        det.add(bit)
+        assert det.width == sum(len(row) << i for i, row in enumerate(det.rows))
+        assert det.total == sum(sum(row) for row in det.rows)
+        assert 0 <= det.total <= det.width

@@ -156,10 +156,9 @@ def test_budget_freezes_growth(rng):
         tree.train(x, int(x[1]))
     assert tree.node_count == 3  # root split claimed the last two slots
     assert budget.used == 3
-    tree2 = HoeffdingTree(schema_of(3), budget=budget)
-    for x in X:
-        tree2.train(x, int(x[1]))
-    assert tree2.node_count == 1  # no budget left at all
+    with pytest.raises(ValueError):  # no budget left for another root
+        HoeffdingTree(schema_of(3), budget=budget)
+    assert budget.used == 3
 
 
 def test_memory_cost_model():

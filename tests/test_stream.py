@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fct.errors import (InvalidParamsError, InvalidScheduleError,
                         RowParseError, UnsupportedDatasetError)
@@ -119,6 +120,73 @@ def test_constant_attribute_degenerates_to_zero(caplog):
         binz = binarize([[7.0], [7.0], [7.0]], bits_per_attribute=2)
     assert "constant" in caplog.text
     assert binz.transform_row([7.0]).tolist() == [0, 0]  # side='left' at ties
+
+
+def searchsorted_row(binz: Binarizer, row) -> list[int]:
+    """Oracle: one ``np.searchsorted`` per attribute, bits MSB first."""
+    out = []
+    for v, th, b in zip(row, binz.thresholds, binz.bits):
+        if th is None:
+            out.append(1 if v > 0.5 else 0)
+        else:
+            code = int(np.searchsorted(th, v, side="left"))
+            out.extend((code >> (b - 1 - k)) & 1 for k in range(b))
+    return out
+
+
+def row_codes(binz: Binarizer, bits) -> list[int]:
+    """Per-attribute codes read back from a transformed row."""
+    codes, pos = [], 0
+    for b in binz.bits:
+        codes.append(int("".join(str(int(x)) for x in bits[pos:pos + b]), 2))
+        pos += b
+    return codes
+
+
+# Calibration values mix binary flags, ties and spread-out numbers, so fitted
+# binarizers have passthrough, constant and ordinary attributes.
+calibration_values = st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                               st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def fitted_binarizers(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(calibration_values, min_size=d, max_size=d),
+                         min_size=1, max_size=30))
+    return binarize(rows, draw(st.integers(min_value=1, max_value=3)))
+
+
+@settings(max_examples=80)
+@given(fitted_binarizers(), st.data())
+def test_transform_row_matches_searchsorted(binz, data):
+    specials = [np.inf, -np.inf, np.nan, 0.5]
+    per_attr = [
+        st.sampled_from(specials + ([] if th is None else [float(t) for t in th]))
+        | st.floats(-2e6, 2e6, allow_nan=False)
+        for th in binz.thresholds
+    ]
+    for _ in range(5):
+        row = [data.draw(s) for s in per_attr]
+        want = searchsorted_row(binz, row)
+        for given_row in (row, np.array(row)):
+            got = binz.transform_row(given_row)
+            assert got.dtype == np.uint8
+            assert got.tolist() == want
+
+
+@settings(max_examples=60)
+@given(fitted_binarizers(), st.data())
+def test_codes_are_monotone_in_each_value(binz, data):
+    d = len(binz.bits)
+    values = st.floats(allow_nan=False) | st.sampled_from([np.inf, -np.inf])
+    columns = [sorted(data.draw(st.lists(values, min_size=2, max_size=6)))
+               for _ in range(d)]
+    n = min(len(c) for c in columns)
+    codes = [row_codes(binz, binz.transform_row([c[k] for c in columns]))
+             for k in range(n)]
+    for a in range(d):
+        assert [c[a] for c in codes] == sorted(c[a] for c in codes)
 
 
 def test_binarize_rejects_bad_input():
