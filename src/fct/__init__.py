@@ -2,7 +2,7 @@
 
 from .adwin import AdwinDetector
 from .driver import FctConfig, FctState, RunReport, WinnerRef, run
-from .forest import Forest, SlidingAccuracy
+from .forest import Forest, Scoreboard
 from .hoeffding import HoeffdingTree, TreePath, hoeffding_bound
 from .repository import Repository, RepositoryEntry
 from .spectrum import (
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdwinDetector", "FctConfig", "FctState", "RunReport", "WinnerRef", "run",
-    "Forest", "SlidingAccuracy", "HoeffdingTree", "TreePath", "hoeffding_bound",
+    "Forest", "Scoreboard", "HoeffdingTree", "TreePath", "hoeffding_bound",
     "Repository", "RepositoryEntry", "FourierSpectrum", "dft",
     "dft_from_paths", "inverse_classify", "spectra_equal",
     "Binarizer", "ConceptSchedule", "Instance", "InstanceStream", "Schema",

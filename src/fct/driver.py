@@ -13,6 +13,7 @@ always the current best tree; that is the ablation baseline.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -52,8 +53,8 @@ class FctConfig:
         """Raise ConfigError naming the command line key of a bad value."""
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ConfigError("energy", "must be in (0, 1]")
-        if self.winner_tie_margin < 0.0:
-            raise ConfigError("tau", "must be >= 0")
+        if not 0.0 <= self.winner_tie_margin < math.inf:
+            raise ConfigError("tau", "must be finite and >= 0")
         if self.repository_capacity < 1:
             raise ConfigError("repo_cap", "must be >= 1")
         if not 0.0 < self.adwin_delta < 1.0:
@@ -114,7 +115,6 @@ class FctState:
         # before any evidence, tree 0 answers
         self.winner = WinnerRef("forest", 0)
         self.pending: deque[tuple[Instance, int]] = deque()
-        self.drift_count = 0
         self.drift_positions: list[int] = []
         self.winner_switches: list[tuple[int, str, int]] = []
         self.seen = 0
@@ -154,22 +154,16 @@ class FctState:
         return pred, drifted
 
     def on_drift(self) -> None:
-        """Re-select the winning model; possibly compress the best tree."""
-        self.drift_count += 1
+        """Re-select the winning model, first storing the best tree (fct mode)
+        when it beats every entry by more than tau. Only this method stores,
+        so the repository is empty at the first drift and in cbdt mode."""
         ti, tree, tree_acc = self.forest.best_tree()
-        if self.config.mode == "cbdt":
-            self._set_winner(WinnerRef("forest", ti))
-            self.detector = AdwinDetector(delta=self.config.adwin_delta)
-            return
-
         best = self.repository.best()
-        repo_acc = best[2] if best is not None else float("-inf")
-        if self.winner.source == "forest":
-            first_drift = self.drift_count == 1
-            if first_drift or tree_acc - repo_acc > self.config.winner_tie_margin:
-                self.repository.insert(dft(tree, self.config.energy_threshold))
-
-        best = self.repository.best()  # refreshed: insert may have evicted
+        repo_acc = best[2] if best is not None else -math.inf
+        if (self.config.mode == "fct" and self.winner.source == "forest"
+                and tree_acc - repo_acc > self.config.winner_tie_margin):
+            self.repository.insert(dft(tree, self.config.energy_threshold))
+            best = self.repository.best()  # refreshed: insert may have evicted
         if best is not None and best[2] > tree_acc:
             entry = best[1]
             entry.winner_tally += 1

@@ -1,4 +1,4 @@
-"""A capped pool of pre-rooted Hoeffding trees with sliding accuracy tracking.
+"""A capped pool of pre-rooted Hoeffding trees, scored over a sliding window.
 
 One tree per (selected) attribute, each forced to split on its attribute at
 the root so the pool covers diverse first splits. All trees share a node
@@ -9,7 +9,6 @@ once and adds the instance to every tree's leaf in one indexed update.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,41 +17,56 @@ from .errors import NotReadyError
 from .hoeffding import NODE_BYTES, HoeffdingTree, LeafTable, NodeBudget
 from .stream import Instance, Schema
 
-# Documented cost-model constant: fixed accounting size of one sliding
-# accuracy estimator, independent of fill level.
+# Documented cost-model constant: fixed accounting size of one model's
+# sliding accuracy, independent of fill level.
 ESTIMATOR_BYTES = 80
 
 DEFAULT_TREE_CAP = 50
 DEFAULT_MAX_NODES = 5000
 
 
-class SlidingAccuracy:
-    """Hit rate over the last ``window`` observations."""
+class Scoreboard:
+    """Hit rates of a changing set of models over their last ``window`` labels.
 
-    def __init__(self, window: int):
+    Row ``labels % window`` of one (window, models) ring of hit bits takes
+    each label's bits. A model that joins gets a zero column and is scored
+    over the labels recorded since it joined; a model with none reads 0.0.
+    """
+
+    def __init__(self, window: int, models: int = 0):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self._hits = 0
-        self._buf: deque = deque()
+        self.ring = np.zeros((window, models), dtype=np.uint8)
+        self.labels = 0
+        self.joined = [0] * models  # label count when each model joined
 
-    def update(self, correct: bool) -> None:
-        if len(self._buf) == self.window:
-            self._hits -= self._buf.popleft()
-        bit = 1 if correct else 0
-        self._buf.append(bit)
-        self._hits += bit
+    def __len__(self) -> int:
+        return len(self.joined)
 
-    @property
-    def count(self) -> int:
-        return len(self._buf)
+    def join(self) -> None:
+        self.ring = np.insert(self.ring, len(self), 0, axis=1)
+        self.joined.append(self.labels)
 
-    @property
-    def accuracy(self) -> float:
-        return self._hits / len(self._buf) if self._buf else 0.0
+    def drop(self, i: int) -> None:
+        self.ring = np.delete(self.ring, i, axis=1)
+        del self.joined[i]
+
+    def record(self, bits) -> None:
+        """One label's hit bits, one per model in column order."""
+        self.ring[self.labels % self.window] = bits
+        self.labels += 1
+
+    def counts(self) -> np.ndarray:
+        return np.minimum(self.window, self.labels - np.array(self.joined))
+
+    def accuracies(self) -> list[float]:
+        counts = self.counts()
+        return np.divide(self.ring.sum(axis=0), counts, out=np.zeros(len(self)),
+                         where=counts > 0).tolist()
 
     def memory_bytes(self) -> int:
-        return ESTIMATOR_BYTES
+        return len(self) * ESTIMATOR_BYTES
 
 
 def _calibration_gain_ranking(calibration: Sequence[Instance], d: int) -> list[int]:
@@ -119,7 +133,7 @@ class Forest:
                           table=self.table)
             for a in roots
         ]
-        self.estimators = [SlidingAccuracy(eval_window) for _ in roots]
+        self.scores = Scoreboard(eval_window, len(roots))
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -133,11 +147,9 @@ class Forest:
         feats = inst.features
         label = inst.label
         x = feats.tolist()
-        leaves = []
-        for tree, est in zip(self.trees, self.estimators):
-            leaf = tree._route(x)
-            est.update(tree._leaf_label(leaf, x) == label)
-            leaves.append(leaf)
+        leaves = [tree._route(x) for tree in self.trees]
+        self.scores.record([tree._leaf_label(leaf, x) == label
+                            for tree, leaf in zip(self.trees, leaves)])
         self.table.add([leaf.row for leaf in leaves], feats, label)
         for tree, leaf in zip(self.trees, leaves):
             tree._learn(leaf, label)
@@ -150,15 +162,14 @@ class Forest:
 
         Ties break toward the lower tree index.
         """
-        if self.estimators[0].count == 0:
+        if self.scores.labels == 0:
             raise NotReadyError("no scored instances yet")
-        best = max(range(len(self.trees)),
-                   key=lambda i: (self.estimators[i].accuracy, -i))
-        return best, self.trees[best], self.estimators[best].accuracy
+        accs = self.scores.accuracies()
+        best = accs.index(max(accs))
+        return best, self.trees[best], accs[best]
 
     def total_node_count(self) -> int:
         return sum(t.node_count for t in self.trees)
 
     def memory_bytes(self) -> int:
-        return (self.total_node_count() * NODE_BYTES
-                + len(self.trees) * ESTIMATOR_BYTES)
+        return self.total_node_count() * NODE_BYTES + self.scores.memory_bytes()

@@ -1,9 +1,10 @@
 """Bounded store of compressed models with usage-weighted eviction.
 
-Entries keep a sliding accuracy over recent stream instances and a tally of
-how often they were chosen as the winning model. When the store is full the
-entry with the lowest tally * accuracy product is evicted; near-duplicate
-spectra are refused outright.
+One scoreboard holds every entry's sliding accuracy over recent stream
+instances, one column per entry; each entry keeps a tally of how often it was
+chosen as the winning model. When the store is full the entry with the lowest
+tally * accuracy product is evicted; near-duplicate spectra are refused
+outright.
 """
 
 from __future__ import annotations
@@ -15,27 +16,16 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaError
-from .forest import SlidingAccuracy
+from .forest import Scoreboard
 from .spectrum import FourierSpectrum, Packed, parity_sums, spectra_equal, stack
 from .stream import Instance
 
 
 class RepositoryEntry:
-    def __init__(self, spectrum: FourierSpectrum, entry_id: int,
-                 eval_window: int):
+    def __init__(self, spectrum: FourierSpectrum, entry_id: int):
         self.spectrum = spectrum
         self.entry_id = entry_id  # stable across evictions of other entries
         self.winner_tally = 0
-        self.estimator = SlidingAccuracy(eval_window)
-
-    @property
-    def accuracy(self) -> float:
-        # entries never yet scored weigh (and rank) as 0
-        return self.estimator.accuracy
-
-    @property
-    def weight(self) -> float:
-        return self.winner_tally * self.accuracy
 
 
 class Repository:
@@ -44,9 +34,9 @@ class Repository:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self.eval_window = eval_window
         self.duplicate_tolerance = duplicate_tolerance
         self.entries: list[RepositoryEntry] = []
+        self.scores = Scoreboard(eval_window)  # column i scores entries[i]
         self._next_id = 0
         self._packed: Optional[Packed] = None  # every entry, one block each
 
@@ -69,12 +59,15 @@ class Repository:
             if spectra_equal(e.spectrum, spectrum, self.duplicate_tolerance):
                 return False
         if len(self.entries) >= self.capacity:
+            # entries never yet scored weigh as 0
+            accs = self.scores.accuracies()
             victim = min(range(len(self.entries)),
-                         key=lambda i: (self.entries[i].weight,
+                         key=lambda i: (self.entries[i].winner_tally * accs[i],
                                         self.entries[i].entry_id))
             del self.entries[victim]
-        self.entries.append(RepositoryEntry(spectrum, self._next_id,
-                                            self.eval_window))
+            self.scores.drop(victim)
+        self.entries.append(RepositoryEntry(spectrum, self._next_id))
+        self.scores.join()
         self._next_id += 1
         self._packed = stack([e.spectrum for e in self.entries])
         return True
@@ -88,9 +81,7 @@ class Repository:
             raise SchemaError(
                 f"instance has {len(inst.features)} attributes, repository "
                 f"holds spectra over {d}")
-        preds = self.classify_all(inst.features)
-        for e, p in zip(self.entries, preds):
-            e.estimator.update(p == inst.label)
+        self.scores.record(self.classify_all(inst.features) == inst.label)
 
     def classify_all(self, features: np.ndarray) -> np.ndarray:
         """Vector of per-entry class predictions for one instance."""
@@ -106,15 +97,15 @@ class Repository:
         """
         if not self.entries:
             return None
+        accs = self.scores.accuracies()
         idx = max(range(len(self.entries)),
-                  key=lambda i: (self.entries[i].accuracy,
-                                 self.entries[i].winner_tally,
+                  key=lambda i: (accs[i], self.entries[i].winner_tally,
                                  -self.entries[i].entry_id))
-        return idx, self.entries[idx], self.entries[idx].accuracy
+        return idx, self.entries[idx], accs[idx]
 
     def memory_bytes(self) -> int:
-        return sum(e.spectrum.memory_bytes() + e.estimator.memory_bytes()
-                   for e in self.entries)
+        return (sum(e.spectrum.memory_bytes() for e in self.entries)
+                + self.scores.memory_bytes())
 
     def export(self, directory) -> None:
         """Write every spectrum plus an index.csv of entry statistics."""
@@ -124,10 +115,10 @@ class Repository:
             w.writerow(["entry_id", "file", "winner_tally", "accuracy",
                         "coefficients", "order_cutoff",
                         "captured_energy_fraction"])
-            for e in self.entries:
+            for e, acc in zip(self.entries, self.scores.accuracies()):
                 fname = f"spectrum_{e.entry_id:04d}.txt"
                 e.spectrum.write(os.path.join(directory, fname))
                 w.writerow([e.entry_id, fname, e.winner_tally,
-                            f"{e.accuracy:.6f}", len(e.spectrum),
+                            f"{acc:.6f}", len(e.spectrum),
                             e.spectrum.order_cutoff,
                             f"{e.spectrum.captured_energy_fraction:.6f}"])

@@ -1,10 +1,11 @@
 """Shared helpers: hand-built trees, an independent Walsh transform, the
-share of one path in one coefficient, and random tree growth used by several
-suites."""
+share of one path in one coefficient, random tree growth used by several
+suites, and a per-model sliding accuracy oracle."""
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -121,6 +122,29 @@ def grow_random_tree(seed: int, d: int | None = None,
     for x, label in zip(X, y):
         tree.train(x, int(label))
     return tree
+
+
+class SlidingAccuracy:
+    """Hit rate over the last ``window`` observations of one model.
+
+    The deque-per-model form that ``Scoreboard`` replaced, kept as its
+    oracle.
+    """
+
+    def __init__(self, window: int):
+        self.window = window
+        self._buf: deque = deque(maxlen=window)
+
+    def update(self, correct: bool) -> None:
+        self._buf.append(1 if correct else 0)
+
+    @property
+    def count(self) -> int:
+        return len(self._buf)
+
+    @property
+    def accuracy(self) -> float:
+        return sum(self._buf) / len(self._buf) if self._buf else 0.0
 
 
 @pytest.fixture

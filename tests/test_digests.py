@@ -1,0 +1,51 @@
+"""Output digests of short runs of the three benchmark workload configs.
+
+The options are those of ``perfbench/bench.py``'s ``WORKLOADS``, at one seed
+each. A change meant to keep outputs byte-identical must keep these digests;
+a change meant to move outputs updates them and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from fct import harness
+
+WORKLOADS = {
+    "sea-recurring": {"dataset": "sea", "segments": "4x2500x2",
+                      "bits_per_attr": 3, "noise": 0.1, "mode": "fct",
+                      "seed": 1000},
+    # stores, evicts (entry ids reach 10, 4 held) and answers from spectra
+    "rbf-churn": {"dataset": "rbf", "segments": "4x1000x3", "bits_per_attr": 3,
+                  "noise": 0.0, "repo_cap": 4, "mode": "fct", "seed": 1001},
+    "sea-small-cbdt": {"dataset": "sea", "segments": "4x5000x1",
+                       "bits_per_attr": 1, "noise": 0.1, "mode": "cbdt",
+                       "seed": 1000},
+}
+
+DIGESTS = {
+    "sea-recurring": {
+        "metrics.csv": "25e2d4d54be62f03dfbb610fa8f9d6e2ce9737e397c380f22420cbdc06fffd93",
+        "drifts.csv": "9209b6560e2906a2b67207b0b277b8be463c4625835012545e66292470fae5cb",
+        "repository/index.csv": "a392d9fc29ae6223d155bc058a19606d5fea492295986e19df5ce1c0225015bd",
+    },
+    "rbf-churn": {
+        "metrics.csv": "e6bd21873b7f1ce457d525f1ba650ba8173da1e020d5c1148ccc7f064eb46396",
+        "drifts.csv": "3eb4120b1d6de9b6fffcc3dcf26275466582aefd71d7c02842ac0825624717fc",
+        "repository/index.csv": "9400b7a9f19a11e96b3f4e00518640d3a74b18f5b03b5068170407a2184a7f86",
+    },
+    "sea-small-cbdt": {
+        "metrics.csv": "2050ee639d70207528cf4e74986f8de2a40eccbc370144c8eef7259407b77c63",
+        "drifts.csv": "9fe0d396c75bc79cbaebc06192c7feef04f8dd0be73b47ff49bd7c5aa421a883",
+        "repository/index.csv": "5600683fb251b4dad22b1bcbf8d356bef63d7672b7715c4aca01989c72cc45da",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_outputs_keep_their_digests(name, tmp_path):
+    harness.run_once(dict(harness.DEFAULTS, **WORKLOADS[name],
+                          out=str(tmp_path)))
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+           for f in DIGESTS[name]}
+    assert got == DIGESTS[name]

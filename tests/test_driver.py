@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fct.driver import FctConfig, FctState, run
 from fct.errors import ConfigError
@@ -33,6 +34,8 @@ def as_stream(instances, d=3, boundaries=()):
     ("energy_threshold", 0.0, "energy"),
     ("energy_threshold", 1.2, "energy"),
     ("winner_tie_margin", -0.5, "tau"),
+    ("winner_tie_margin", float("nan"), "tau"),
+    ("winner_tie_margin", float("inf"), "tau"),
     ("repository_capacity", 0, "repo_cap"),
     ("adwin_delta", 1.0, "adwin_delta"),
     ("label_delay", -1, "delay"),
@@ -87,6 +90,16 @@ def test_step_scores_each_label_exactly_once():
         state.step(Instance(feats, 1, i),
                    scored_hook=lambda old, ok: scored.append(old.index))
     assert scored == list(range(7))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=40))
+def test_pending_holds_the_unmatured_suffix_after_every_step(delay, n):
+    state = FctState(schema_of(3), FctConfig(label_delay=delay))
+    for inst in constant_concept_instances(n):
+        state.step(inst)
+        assert len(state.pending) == min(state.seen, delay)
 
 
 def test_truth_boundaries_are_carried_into_the_report():

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fct.errors import NotReadyError
-from fct.forest import ESTIMATOR_BYTES, Forest, SlidingAccuracy
+from fct.forest import ESTIMATOR_BYTES, Forest, Scoreboard
 from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
 from fct.stream import Instance
 
-from conftest import schema_of
+from conftest import SlidingAccuracy, schema_of
 
 
 def _instances(features_rows, labels):
@@ -66,8 +67,7 @@ def test_train_scores_every_tree_before_learning(rng):
     forest = Forest(schema_of(3), max_node_count=100)
     inst = Instance(np.array([1, 0, 1], dtype=np.int8), 1, 0)
     forest.train(inst)
-    for est in forest.estimators:
-        assert est.count == 1
+    assert forest.scores.counts().tolist() == [1, 1, 1]
 
 
 def test_best_tree_requires_observations():
@@ -99,8 +99,7 @@ def test_best_tree_tie_breaks_to_lower_index(rng):
     feats = rng.integers(0, 2, size=(50, 4)).astype(np.int8)
     for inst in _instances(feats, [1] * 50):
         forest.train(inst)
-    accs = [e.accuracy for e in forest.estimators]
-    assert len(set(accs)) == 1
+    assert len(set(forest.scores.accuracies())) == 1
     assert forest.best_tree()[0] == 0
 
 
@@ -144,16 +143,49 @@ def test_memory_cost_model(rng):
                                      + len(forest) * ESTIMATOR_BYTES)
 
 
-def test_sliding_accuracy_window_semantics():
-    est = SlidingAccuracy(3)
-    assert est.accuracy == 0.0
+def test_scoreboard_window_semantics():
+    board = Scoreboard(3, models=1)
+    assert board.accuracies() == [0.0]
     for bit in (1, 1, 0, 0):
-        est.update(bool(bit))
+        board.record([bit])
     # the leading hit fell out of the window
-    assert est.count == 3
-    assert est.accuracy == pytest.approx(1 / 3)
+    assert board.counts().tolist() == [3]
+    assert board.accuracies() == [pytest.approx(1 / 3)]
     with pytest.raises(ValueError):
-        SlidingAccuracy(0)
+        Scoreboard(0)
+
+
+# One operation on a scoreboard: join a model, drop the model at a position
+# (taken modulo the model count), or record one label's hit bits (a seed).
+scoreboard_ops = st.lists(st.one_of(
+    st.just(("join",)),
+    st.tuples(st.just("drop"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("record"), st.integers(min_value=0, max_value=2**32 - 1)),
+), max_size=60)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=7),
+       st.integers(min_value=0, max_value=4), scoreboard_ops)
+def test_scoreboard_matches_one_sliding_accuracy_per_model(window, models, ops):
+    board = Scoreboard(window, models)
+    oracles = [SlidingAccuracy(window) for _ in range(models)]
+    for step, op in enumerate(ops):
+        if op[0] == "join":
+            board.join()
+            oracles.append(SlidingAccuracy(window))
+        elif op[0] == "drop" and oracles:
+            i = op[1] % len(oracles)
+            board.drop(i)
+            del oracles[i]
+        elif op[0] == "record":
+            bits = np.random.default_rng(op[1]).integers(0, 2, len(oracles))
+            board.record(bits.astype(bool))
+            for oracle, bit in zip(oracles, bits):
+                oracle.update(bool(bit))
+        assert len(board) == len(oracles)
+        assert board.counts().tolist() == [o.count for o in oracles], step
+        assert board.accuracies() == [o.accuracy for o in oracles], step
 
 
 def _nodes(node):
@@ -201,7 +233,7 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
         assert ftree.extract_paths() == tree.extract_paths()
         assert ftree.leaf_count() == tree.leaf_count()
         assert ftree.node_count == tree.node_count
-        assert forest.estimators[i].accuracy == hits[i] / n
+        assert forest.scores.accuracies()[i] == hits[i] / n
         for fnode, node in zip(_nodes(ftree.root), _nodes(tree.root)):
             if fnode.is_leaf:
                 stats = table.stats[fnode.row]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fct.errors import SchemaError
+from fct.forest import ESTIMATOR_BYTES
 from fct.repository import Repository
 from fct.spectrum import FourierSpectrum, dft, inverse_classify, spectra_equal
 from fct.stream import Instance
@@ -24,6 +25,14 @@ def negated_attribute_spectrum(a: int, d: int = 4) -> FourierSpectrum:
 
 def _inst(features, label, index=0):
     return Instance(np.asarray(features, dtype=np.int8), label, index)
+
+
+def accuracy_of(repo, entry_id):
+    return repo.scores.accuracies()[repo.entries.index(repo.find(entry_id))]
+
+
+def weight_of(repo, entry_id):
+    return repo.find(entry_id).winner_tally * accuracy_of(repo, entry_id)
 
 
 def test_insert_and_find():
@@ -47,14 +56,14 @@ def test_duplicate_insert_refused_and_stats_untouched():
     entry = repo.find(0)
     entry.winner_tally = 3
     repo.observe(_inst([0, 0, 1, 0], 1))
-    acc_before = entry.accuracy
+    acc_before = accuracy_of(repo, 0)
 
     again = FourierSpectrum(4, {0: 0.5, 1 << 2: -0.5}, 1, 1.0)
     assert repo.insert(again) is False
     assert len(repo) == 1
     assert repo.find(0) is entry
     assert entry.winner_tally == 3
-    assert entry.accuracy == acc_before
+    assert accuracy_of(repo, 0) == acc_before
 
 
 def test_near_duplicate_within_tolerance_refused():
@@ -75,14 +84,21 @@ def test_eviction_removes_lowest_weight():
     repo.insert(spectrum_for_attribute(1))
     repo.find(0).winner_tally = 5
     repo.observe(_inst([1, 0, 0, 0], 1))  # entry 0 right, entry 1 wrong
-    assert repo.find(0).weight > 0.0
-    assert repo.find(1).weight == 0.0
+    repo.observe(_inst([0, 1, 0, 0], 1))  # entry 0 wrong, entry 1 right
+    assert weight_of(repo, 0) > 0.0
+    assert weight_of(repo, 1) == 0.0
 
     assert repo.insert(spectrum_for_attribute(2))
     assert len(repo) == 2
     assert repo.find(1) is None
     assert repo.find(0) is not None
     assert repo.find(2) is not None
+    # the survivor keeps its score; the newcomer has none yet
+    assert repo.scores.accuracies() == [0.5, 0.0]
+    assert repo.scores.counts().tolist() == [2, 0]
+    repo.observe(_inst([0, 0, 1, 0], 1))  # entry 0 wrong, entry 2 right
+    assert repo.scores.accuracies() == [pytest.approx(1 / 3), 1.0]
+    assert repo.scores.counts().tolist() == [3, 1]
 
 
 def test_eviction_tie_drops_the_oldest():
@@ -110,9 +126,9 @@ def test_observe_scores_every_entry():
     repo.insert(negated_attribute_spectrum(0))
     for k in range(10):
         repo.observe(_inst([1, 0, 1, 1], 1, k))
-    assert repo.find(0).accuracy == 1.0
-    assert repo.find(1).accuracy == 0.0
-    assert all(e.estimator.count == 10 for e in repo.entries)
+    assert accuracy_of(repo, 0) == 1.0
+    assert accuracy_of(repo, 1) == 0.0
+    assert repo.scores.counts().tolist() == [10, 10]
 
 
 def test_observe_rejects_mismatched_width():
@@ -168,7 +184,7 @@ def test_memory_cost_is_sum_of_entries():
     assert repo.memory_bytes() == 0
     repo.insert(spectrum_for_attribute(0))
     repo.insert(spectrum_for_attribute(1))
-    expected = sum(e.spectrum.memory_bytes() + e.estimator.memory_bytes()
+    expected = sum(e.spectrum.memory_bytes() + ESTIMATOR_BYTES
                    for e in repo.entries)
     assert repo.memory_bytes() == expected
 

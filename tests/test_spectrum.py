@@ -167,6 +167,25 @@ def test_text_round_trip_preserves_values():
     assert clone.coefficients == spec.coefficients  # 17 digits is lossless
 
 
+# Any spectrum the text form can hold: coefficient masks over d attributes,
+# finite values, and any cutoff and captured fraction.
+random_spectra = st.integers(min_value=1, max_value=16).flatmap(
+    lambda d: st.builds(
+        FourierSpectrum,
+        st.just(d),
+        st.dictionaries(st.integers(min_value=0, max_value=(1 << d) - 1),
+                        st.floats(allow_nan=False, allow_infinity=False),
+                        max_size=20),
+        st.integers(min_value=0, max_value=d),
+        st.floats(min_value=0.0, max_value=1.0)))
+
+
+@settings(max_examples=100)
+@given(random_spectra)
+def test_text_round_trip_is_exact_on_random_spectra(spec):
+    assert FourierSpectrum.from_text(spec.to_text()) == spec
+
+
 def test_file_round_trip(tmp_path):
     spec = dft(worked_example_tree(), 1.0)
     path = tmp_path / "spec.txt"
