@@ -88,7 +88,7 @@ class WindowRow:
 class RunReport:
     total_instances: int = 0
     scored_instances: int = 0
-    overall_accuracy: float = 0.0
+    overall_accuracy: float = math.nan  # a run that scores nothing has none
     window_size: int = 1000
     windows: list[WindowRow] = field(default_factory=list)
     drift_positions: list[int] = field(default_factory=list)
@@ -240,7 +240,7 @@ def run(stream: Iterable[Instance], config: FctConfig,
         snapshot(n)
     report.total_instances = n
     report.overall_accuracy = (total_hits / report.scored_instances
-                               if report.scored_instances else 0.0)
+                               if report.scored_instances else math.nan)
     report.drift_positions = list(state.drift_positions)
     report.winner_switches = list(state.winner_switches)
     report.state = state

@@ -3,8 +3,8 @@
 One tree per (selected) attribute, each forced to split on its attribute at
 the root so the pool covers diverse first splits. All trees share a node
 budget; when it is exhausted the trees keep classifying but stop growing.
-They also share one leaf table, so training on an instance routes each tree
-once and adds the instance to every tree's leaf in one indexed update.
+They also share one leaf table; training on an instance routes each tree
+once and hands every tree's leaf the same pending entry.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import NotReadyError
-from .hoeffding import NODE_BYTES, HoeffdingTree, LeafTable, NodeBudget
+from .hoeffding import (NODE_BYTES, HoeffdingTree, LeafTable, NodeBudget,
+                        pending_entry)
 from .stream import Instance, Schema
 
 # Documented cost-model constant: fixed accounting size of one model's
@@ -139,20 +140,21 @@ class Forest:
         return len(self.trees)
 
     def train(self, inst: Instance) -> None:
-        """Score each tree on the instance first, then let it learn.
+        """Score each tree on the instance, then let it learn, one tree at a
+        time; no tree's score depends on another tree's learning.
 
         Trees split in tree order, so they claim the shared budget in the
         same order as training them one after another would.
         """
-        feats = inst.features
         label = inst.label
-        x = feats.tolist()
-        leaves = [tree._route(x) for tree in self.trees]
-        self.scores.record([tree._leaf_label(leaf, x) == label
-                            for tree, leaf in zip(self.trees, leaves)])
-        self.table.add([leaf.row for leaf in leaves], feats, label)
-        for tree, leaf in zip(self.trees, leaves):
-            tree._learn(leaf, label)
+        x = inst.features.tolist()
+        entry = pending_entry(inst.features, label)
+        hits = []
+        for tree in self.trees:
+            leaf = tree._route(x)
+            hits.append(tree._leaf_label(leaf, x) == label)
+            tree._learn(leaf, entry, label)
+        self.scores.record(hits)
 
     def classify(self, tree_index: int, features: np.ndarray) -> int:
         return self.trees[tree_index].classify(features)

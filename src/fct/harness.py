@@ -138,7 +138,7 @@ def build_stream(opts: dict) -> stream.InstanceStream:
 
 def build_config(opts: dict) -> driver.FctConfig:
     """The driver config of a full option set; checks every value once."""
-    if opts["noise"] < 0 or opts["noise"] > 1:
+    if not 0 <= opts["noise"] <= 1:  # NaN fails too
         raise ConfigError("noise", "must be in [0, 1]")
     if opts["bits_per_attr"] < 1:
         raise ConfigError("bits_per_attr", "must be >= 1")

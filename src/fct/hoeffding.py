@@ -4,8 +4,25 @@ Leaves accumulate per-attribute class counts and are split once an
 information-gain lead clears the Hoeffding bound (or the bound is small
 enough to call it a tie). Trees can be pre-rooted on a chosen attribute so a
 forest can pin one tree per attribute. The per-attribute counts of every leaf
-are rows of one :class:`LeafTable`, which a forest shares between its trees so
-that one instance updates all of them in a single indexed add.
+are rows of one :class:`LeafTable`, which a forest shares between its trees.
+
+Training an instance is plain Python: the leaf's class counts go up by one
+and the instance joins the leaf's pending list. A leaf's row of the table is
+current only at a split check, every ``check_interval`` arrivals, when the
+pending instances are added in one step. So at most ``check_interval - 1``
+instances wait per leaf, and a split leaf has always just been flushed.
+
+A check first rules out, cheaply, the leaves that cannot split. While the
+bound ``eps`` is at least the tie threshold, only a gain lead above ``eps``
+can split. With ``L(x) = x log2 x``, the conditional entropy of attribute a
+times the leaf size n is ``S_a = sum_v L(n_av) - sum_vc L(n_avc)``, so the
+lead is ``(S_(2) - S_(1)) / n`` over the two smallest ``S_a`` of the unbanned
+attributes, or ``h0 - S_min / n`` when one is unbanned (the exact rule then
+takes the runner-up gain as 0). In real arithmetic this is the lead that the
+gain evaluation computes. In floats the two differ by rounding only, at most
+about ``5e-15`` on the benchmark streams, so a lead below ``eps - 1e-9``
+cannot split and the check ends there. Every other check runs the gain
+evaluation, which alone picks the split attribute and decides the split.
 """
 
 from __future__ import annotations
@@ -22,6 +39,28 @@ from .stream import Schema
 NODE_BYTES = 48
 
 _GAIN_FLOOR = 1e-12  # exact-zero gains must not trigger splits
+# a lead this far below the bound cannot split, whatever the rounding
+_LEAD_MARGIN = 1e-9
+
+# byte v of a feature becomes 2v + c under the table of class c
+_CODE_TABLES = tuple(bytes((2 * v + c) & 0xFF for v in range(256))
+                     for c in (0, 1))
+
+
+def pending_entry(features: np.ndarray, label: int) -> bytes:
+    """One instance as a leaf's pending list holds it: byte a is ``2v + c``
+    for attribute a == v and class c. ``features`` holds one byte per
+    attribute. A forest shares one entry between its trees."""
+    return features.tobytes().translate(_CODE_TABLES[label])
+
+
+# Row 2v + c of a leaf's (d, 4) counts goes to the columns of n_av and n_avc;
+# the signs then sum S_a = sum_v L(n_av) - sum_vc L(n_avc).
+_S_COLUMNS = np.array([[1, 0, 1, 0, 0, 0],
+                       [1, 0, 0, 1, 0, 0],
+                       [0, 1, 0, 0, 1, 0],
+                       [0, 1, 0, 0, 0, 1]])
+_S_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -69,7 +108,7 @@ class NodeBudget:
 class LeafTable:
     """Per-attribute class counts of many leaves, one row per leaf.
 
-    ``stats[row, a, v, c]`` counts the instances seen at the leaf holding
+    ``stats[row, a, v, c]`` counts the flushed instances of the leaf holding
     ``row`` with attribute a == v and class c. A split leaf's row is zeroed
     and reused; when no row is free the table doubles.
     """
@@ -77,8 +116,7 @@ class LeafTable:
     def __init__(self, d: int, rows: int = 4):
         self.stats = np.zeros((rows, d, 2, 2), dtype=np.int64)
         self.free_rows = list(range(rows - 1, -1, -1))  # pop() takes the lowest
-        # flat index of stats[row, a, v, c] is row*4d + 4a + 2v + c
-        self._row_stride = 4 * d
+        # flat index of stats[row, a, v, c] within a row is 4a + 2v + c
         self._attr_offsets = 4 * np.arange(d, dtype=np.int64)
 
     def alloc(self) -> int:
@@ -96,31 +134,42 @@ class LeafTable:
         self.stats[row] = 0
         self.free_rows.append(row)
 
-    def add(self, rows: list[int], features: np.ndarray, label: int) -> None:
-        """Count one instance at each of ``rows``, which must be distinct."""
-        idx = (np.array(rows)[:, None] * self._row_stride
-               + (self._attr_offsets + 2 * features + label))
-        # distinct rows make every index distinct, so a buffered += is exact
-        self.stats.reshape(-1)[idx] += 1
+    def flush(self, row: Optional[int], pending: list[bytes]) -> None:
+        """Count the :func:`pending_entry` instances of ``pending`` at ``row``."""
+        if row is None:
+            raise ValueError("leaf has no row in the leaf table")
+        d = len(self._attr_offsets)
+        codes = np.frombuffer(b"".join(pending), dtype=np.uint8)
+        idx = codes.reshape(len(pending), d) + self._attr_offsets
+        self.stats[row] += np.bincount(idx.ravel(), minlength=4 * d).reshape(d, 2, 2)
+
+    def entropy_sums(self, row: int) -> np.ndarray:
+        """``S_a = sum_v L(n_av) - sum_vc L(n_avc)`` with ``L(x) = x log2 x``
+        for every attribute a at ``row``."""
+        d = len(self._attr_offsets)
+        counts = self.stats[row].reshape(d, 4) @ _S_COLUMNS
+        return (counts * np.log2(np.maximum(counts, 1))) @ _S_SIGNS
 
 
 class _Node:
     __slots__ = ("split_attribute", "children", "frozen_counts",
-                 "seed_counts", "counts", "row", "since_check", "banned")
+                 "seed_counts", "counts", "row", "pending", "since_check",
+                 "banned")
 
     def __init__(self, d: int, banned: frozenset,
-                 seed_counts: Optional[np.ndarray] = None,
+                 seed_counts: Optional[list[int]] = None,
                  row: Optional[int] = None):
         # d sizes nothing here: a leaf's (d, 2, 2) counts are row ``row`` of
         # its tree's LeafTable. Split nodes and hand-built nodes hold no row,
-        # and training a leaf without one fails in LeafTable.add.
+        # and training a leaf without one fails in LeafTable.flush.
         self.split_attribute: Optional[int] = None
         self.children: Optional[list[_Node]] = None
         self.frozen_counts: Optional[np.ndarray] = None  # set when the node splits
-        self.seed_counts = seed_counts if seed_counts is not None \
-            else np.zeros(2, dtype=np.int64)
-        self.counts = np.zeros(2, dtype=np.int64)
+        # class counts as plain ints: inherited at the split, and own
+        self.seed_counts = seed_counts if seed_counts is not None else [0, 0]
+        self.counts = [0, 0]
         self.row = row
+        self.pending: list[bytes] = []  # unflushed instances, since_check long
         self.since_check = 0
         self.banned = banned
 
@@ -129,7 +178,8 @@ class _Node:
         return self.children is None
 
     def total_counts(self) -> np.ndarray:
-        return self.seed_counts + self.counts
+        (s0, s1), (c0, c1) = self.seed_counts, self.counts
+        return np.array([s0 + c0, s1 + c1], dtype=np.int64)
 
 
 def _majority(counts: np.ndarray) -> int:
@@ -208,8 +258,8 @@ class HoeffdingTree:
         """Class of ``leaf``, which ``x`` reaches: the majority of its seed
         plus own counts, else that of the deepest ancestor that had seen data
         when it split, else 0."""
-        s0, s1 = leaf.seed_counts.tolist()
-        c0, c1 = leaf.counts.tolist()
+        s0, s1 = leaf.seed_counts
+        c0, c1 = leaf.counts
         n0 = s0 + c0
         n1 = s1 + c1
         if n0 or n1:
@@ -223,12 +273,15 @@ class HoeffdingTree:
             node = node.children[x[node.split_attribute]]
         return label
 
-    def _learn(self, leaf: _Node, label: int) -> None:
-        """Class-count and split bookkeeping once ``leaf``'s row holds the
-        instance."""
+    def _learn(self, leaf: _Node, entry: bytes, label: int) -> None:
+        """Count the instance ``entry`` at ``leaf``, which it reaches; at a
+        check, flush the pending instances into the leaf's row first."""
         leaf.counts[label] += 1
+        leaf.pending.append(entry)
         leaf.since_check += 1
         if leaf.since_check >= self.check_interval:
+            self.table.flush(leaf.row, leaf.pending)
+            leaf.pending = []
             leaf.since_check = 0
             self._maybe_split(leaf)
 
@@ -236,14 +289,14 @@ class HoeffdingTree:
         return self._leaf_label(self._route(features), features)
 
     def train(self, features: np.ndarray, label: int) -> None:
-        leaf = self._route(features)
-        self.table.add([leaf.row], features, label)
-        self._learn(leaf, label)
+        """Learn one instance; ``features`` holds one 0/1 byte per attribute
+        (uint8 or int8), as the streams yield them."""
+        self._learn(self._route(features), pending_entry(features, label), label)
 
     def _gains(self, leaf: _Node) -> np.ndarray:
         stats = self.table.stats[leaf.row]
-        n = leaf.counts.sum()
-        h0 = _entropy(leaf.counts)
+        n = sum(leaf.counts)
+        h0 = _entropy(np.array(leaf.counts))
         nv = stats.sum(axis=2)  # (d, 2) counts per attribute value
         with np.errstate(divide="ignore", invalid="ignore"):
             p = stats / nv[:, :, None]
@@ -255,10 +308,31 @@ class HoeffdingTree:
             gains[list(leaf.banned)] = -np.inf
         return gains
 
+    def _lead(self, leaf: _Node, n: int) -> float:
+        """The split rule's gain lead at a leaf of n instances, computed from
+        ``S_a`` (see the module docstring); only the rounding differs."""
+        d = self.schema.d
+        s = self.table.entropy_sums(leaf.row)
+        if leaf.banned:
+            s[list(leaf.banned)] = np.inf
+        if d - len(leaf.banned) < 2:
+            return _entropy(np.array(leaf.counts)) - float(s.min()) / n
+        first, second = np.partition(s, 1)[:2].tolist()
+        return (second - first) / n
+
     def _maybe_split(self, leaf: _Node) -> None:
-        n = int(leaf.counts.sum())
+        n = sum(leaf.counts)
         if n == 0 or len(leaf.banned) >= self.schema.d:
             return
+        eps = hoeffding_bound(self.delta, n)
+        if eps >= self.tie_threshold and self._lead(leaf, n) < eps - _LEAD_MARGIN:
+            return
+        attr = self._split_choice(leaf, eps)
+        if attr is not None:
+            self._split(leaf, attr)
+
+    def _split_choice(self, leaf: _Node, eps: float) -> Optional[int]:
+        """The attribute that the split rule picks at bound ``eps``, or None."""
         gains = self._gains(leaf)
         order = np.argsort(gains)
         best = int(order[-1])
@@ -267,17 +341,17 @@ class HoeffdingTree:
         if g_second == -np.inf:
             g_second = 0.0
         if g_best <= _GAIN_FLOOR:
-            return
-        eps = hoeffding_bound(self.delta, n)
+            return None
         if (g_best - g_second > eps) or (eps < self.tie_threshold):
-            self._split(leaf, best)
+            return best
+        return None
 
     def _split(self, leaf: _Node, attr: int) -> None:
         if not self.budget.try_claim(2):
             return
         d = self.schema.d
         banned = leaf.banned | {attr}
-        seeds = self.table.stats[leaf.row, attr].copy()
+        seeds = self.table.stats[leaf.row, attr].tolist()
         self.table.release(leaf.row)
         leaf.row = None
         leaf.split_attribute = attr

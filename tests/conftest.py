@@ -1,6 +1,7 @@
 """Shared helpers: hand-built trees, an independent Walsh transform, the
 share of one path in one coefficient, random tree growth used by several
-suites, and a per-model sliding accuracy oracle."""
+suites, an eager leaf-count oracle and a per-model sliding accuracy
+oracle."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ settings.register_profile("repeatable", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("repeatable")
 
-from fct.hoeffding import HoeffdingTree, TreePath, _Node
+from fct.hoeffding import HoeffdingTree, LeafTable, TreePath, _Node
 from fct.stream import Schema
 
 
@@ -122,6 +123,41 @@ def grow_random_tree(seed: int, d: int | None = None,
     for x, label in zip(X, y):
         tree.train(x, int(label))
     return tree
+
+
+class EagerLeafCounts:
+    """Per-attribute class counts of each leaf, added as each instance arrives.
+
+    The eager per-instance add that deferred leaf counts replaced, kept as
+    their oracle. A leaf's (d, 2, 2) counts start at zero when the leaf is
+    made, as its row of the leaf table does.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        self._attr_offsets = 4 * np.arange(d, dtype=np.int64)
+        self._stats: dict[_Node, np.ndarray] = {}
+
+    def add(self, leaves, features: np.ndarray, label: int) -> None:
+        """Count one instance at each of ``leaves``."""
+        # flat index of stats[a, v, c] is 4a + 2v + c
+        idx = self._attr_offsets + 2 * features.astype(np.int64) + label
+        for leaf in leaves:
+            self.counts(leaf).reshape(-1)[idx] += 1
+
+    def counts(self, leaf: _Node) -> np.ndarray:
+        if leaf not in self._stats:
+            self._stats[leaf] = np.zeros((self.d, 2, 2), dtype=np.int64)
+        return self._stats[leaf]
+
+
+def flushed_row(tree: HoeffdingTree, leaf: _Node) -> np.ndarray:
+    """The counts that a split check of ``leaf`` would read now: its row of
+    the leaf table plus its pending instances. Changes neither."""
+    copy = LeafTable(tree.schema.d, rows=1)
+    copy.stats[0] = tree.table.stats[leaf.row]
+    copy.flush(0, leaf.pending)
+    return copy.stats[0]
 
 
 class SlidingAccuracy:

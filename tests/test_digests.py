@@ -1,8 +1,11 @@
-"""Output digests of short runs of the three benchmark workload configs.
+"""Output digests of short runs of the three benchmark workload configs and
+of a hyperplane config.
 
-The options are those of ``perfbench/bench.py``'s ``WORKLOADS``, at one seed
-each. A change meant to keep outputs byte-identical must keep these digests;
-a change meant to move outputs updates them and says why.
+The first three take the options of ``perfbench/bench.py``'s ``WORKLOADS``,
+at one seed each. Those cover only the SEA and RBF generators, so a
+hyperplane stream is pinned too. A change meant to keep outputs
+byte-identical must keep these digests; a change meant to move outputs
+updates them and says why.
 """
 
 import hashlib
@@ -21,6 +24,8 @@ WORKLOADS = {
     "sea-small-cbdt": {"dataset": "sea", "segments": "4x5000x1",
                        "bits_per_attr": 1, "noise": 0.1, "mode": "cbdt",
                        "seed": 1000},
+    "hyperplane": {"dataset": "hyperplane", "segments": "4x3000x1",
+                   "bits_per_attr": 2, "noise": 0.05, "seed": 1000},
 }
 
 DIGESTS = {
@@ -38,6 +43,11 @@ DIGESTS = {
         "metrics.csv": "2050ee639d70207528cf4e74986f8de2a40eccbc370144c8eef7259407b77c63",
         "drifts.csv": "9fe0d396c75bc79cbaebc06192c7feef04f8dd0be73b47ff49bd7c5aa421a883",
         "repository/index.csv": "5600683fb251b4dad22b1bcbf8d356bef63d7672b7715c4aca01989c72cc45da",
+    },
+    "hyperplane": {
+        "metrics.csv": "c09b81a02b0a5165c68cc0baf2b2940f0c2bdee2b8bd0643cd9b1a9de8b8eb3d",
+        "drifts.csv": "0059b063752702a7d0ee6b380429ebf858db136015dd031816a3bf3e90ed5fd9",
+        "repository/index.csv": "4c0b1c3d21cec41bfa289e166449d8880ca18039228657cc3490b05ef955263d",
     },
 }
 

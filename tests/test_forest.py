@@ -9,7 +9,7 @@ from fct.forest import ESTIMATOR_BYTES, Forest, Scoreboard
 from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
 from fct.stream import Instance
 
-from conftest import SlidingAccuracy, schema_of
+from conftest import EagerLeafCounts, SlidingAccuracy, flushed_row, schema_of
 
 
 def _instances(features_rows, labels):
@@ -203,7 +203,8 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
     The reference trees share a budget of the same size and each keeps its
     own leaf table. With 24 nodes and checks every 4 labels, two trees ask
     for the last free nodes at the same instance, so the second case also
-    checks that trees claim the budget in tree order.
+    checks that trees claim the budget in tree order. Table rows are compared
+    as a check would read them, with the leaf's pending instances added.
     """
     d, n = 6, 3000
     rng = np.random.default_rng(21)
@@ -235,17 +236,58 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
         assert ftree.node_count == tree.node_count
         assert forest.scores.accuracies()[i] == hits[i] / n
         for fnode, node in zip(_nodes(ftree.root), _nodes(tree.root)):
+            assert len(fnode.pending) == fnode.since_check
+            assert fnode.pending == node.pending
             if fnode.is_leaf:
-                stats = table.stats[fnode.row]
-                assert (stats == tree.table.stats[node.row]).all()
-                assert (fnode.counts == node.counts).all()
-                assert (fnode.seed_counts == node.seed_counts).all()
+                stats = flushed_row(ftree, fnode)
+                assert (stats == flushed_row(tree, node)).all()
+                assert fnode.counts == node.counts
+                assert fnode.seed_counts == node.seed_counts
                 # per attribute, the two values split the leaf's class counts
                 assert (stats.sum(axis=1) == fnode.counts).all()
                 held.append(fnode.row)
             else:
                 assert fnode.row is None
+                assert fnode.pending == []  # flushed at the check that split it
     assert len(set(held)) == len(held)
     assert not set(held) & set(table.free_rows)
     assert len(held) + len(table.free_rows) == len(table.stats)
     assert not table.stats[table.free_rows].any()
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=8),
+       st.integers(min_value=1, max_value=8),
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_deferred_leaf_counts_match_eager_counts_after_every_instance(
+        d, check_interval, spare_splits, seed):
+    """Each leaf's row plus its pending instances equals the counts that an
+    eager add per instance would hold, after every instance; no leaf holds a
+    full check interval of pending instances, and a split leaf was flushed
+    before the split read its row. A budget of a few spare splits runs out
+    in many of the streams, after which the trees stop growing."""
+    n = 150
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 2, size=(n, d)).astype(np.uint8)
+    a, b, c = rng.integers(0, d, size=3)
+    y = (X[:, a] ^ (X[:, b] & X[:, c])) ^ (rng.random(n) < 0.1)
+    forest = Forest(schema_of(d), max_node_count=3 * d + 2 * spare_splits,
+                    check_interval=check_interval)
+    eager = EagerLeafCounts(d)
+    for inst in _instances(X, y):
+        leaves = [tree._route(inst.features) for tree in forest.trees]
+        forest.train(inst)
+        eager.add(leaves, inst.features, inst.label)
+        for tree in forest.trees:
+            for node in _nodes(tree.root):
+                assert len(node.pending) == node.since_check < check_interval
+                if node.is_leaf:
+                    assert (flushed_row(tree, node) == eager.counts(node)).all()
+                else:
+                    assert node.pending == []
+                    # the split read a flushed row: the children's seeds
+                    # share out every instance that the leaf had counted
+                    zero, one = (child.seed_counts for child in node.children)
+                    seeds = np.add(zero, one)
+                    assert (seeds == node.frozen_counts - node.seed_counts).all()

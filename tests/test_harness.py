@@ -104,9 +104,12 @@ def test_file_dataset_round_trip(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-def test_invalid_values_exit_2(tmp_path):
+def test_invalid_values_exit_2(tmp_path, capsys):
     out = str(tmp_path / "r")
-    assert run_cli(*small_run_args(out, noise="1.5")) == 2
+    for noise in ("1.5", "nan"):
+        assert run_cli(*small_run_args(out, noise=noise)) == 2
+        # the option check names the key, before the stream is built
+        assert "error: noise: " in capsys.readouterr().err
     assert run_cli(*small_run_args(out, segments="9x100x1")) == 2
     assert run_cli(*small_run_args(out, energy="0")) == 2
     assert run_cli("run", "--dataset", "file", "--out", out) == 2
@@ -197,6 +200,35 @@ def test_sweep_checks_every_value_before_the_first_run(tmp_path):
     assert code == 2
     assert not (out / "energy=0.4").exists()
     assert not (out / "sweep.csv").exists()
+
+
+def test_sweep_rejects_nan_noise_before_the_first_run(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--parameter", "noise", "--values", "0.1,nan",
+                   *small_run_args(out)[1:])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_a_run_that_scores_nothing_reports_nan_accuracy(tmp_path, capsys):
+    # every label would arrive after the stream ends
+    args = small_run_args(tmp_path / "r", segments="1x10x1", delay="100")
+    assert run_cli(*args) == 0
+    assert "accuracy=nan " in capsys.readouterr().out
+    summary = (tmp_path / "r" / "summary.txt").read_text().splitlines()
+    assert "scored_instances=0" in summary
+    assert "overall_accuracy=nan" in summary
+    # the per-window rows keep their 0.0 for a window without labels
+    rows = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
+    assert rows[1].startswith("10,0.000000,0.000000,")
+
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--parameter", "seed", "--values", "1",
+                   *small_run_args(out, segments="1x10x1", delay="100")[1:]) == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["overall_acc"] == "nan"
+    assert row["scored_instances"] == "0"
 
 
 def test_sweep_rejects_unknown_parameter(tmp_path):

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_inputs, grow_random_tree, manual_tree, schema_of
-from fct.hoeffding import (NODE_BYTES, HoeffdingTree, NodeBudget,
-                           hoeffding_bound)
+from fct.hoeffding import (_LEAD_MARGIN, NODE_BYTES, HoeffdingTree,
+                           NodeBudget, hoeffding_bound)
 
 # sqrt(ln(1/0.01) / (2*32)), the bound after one check interval at the
 # default confidence
@@ -88,7 +89,7 @@ def test_empty_leaf_falls_back_to_ancestor_majority():
     inner = tree.root.children[1]
     inner.frozen_counts = np.array([2, 9], dtype=np.int64)
     empty = inner.children[0]
-    empty.counts[:] = 0
+    empty.counts = [0, 0]
     x = np.array([1, 0, 0, 0], dtype=np.uint8)
     assert tree.classify(x) == 1  # ancestor majority, not the default 0
     # the extracted path for that region must agree with classify
@@ -183,3 +184,59 @@ def test_dump_mentions_attribute_names(rng):
     for x in X:
         tree.train(x, int(x[0]))
     assert "x1 == 0" in tree.dump()
+
+
+def _leaf_with_counts(d, tie_threshold, n, seed):
+    """A tree whose root leaf holds a random consistent (d, 2, 2) count table
+    of n instances and a random banned set that leaves an attribute free.
+
+    Attributes are a mix of random splits of each class, splits independent
+    of the class (gain near 0) and copies of earlier attributes (exact gain
+    ties), so leads land both far from and near the bound.
+    """
+    rng = np.random.default_rng(seed)
+    n1 = int(rng.integers(0, n + 1))
+    class_counts = np.array([n - n1, n1])
+    ones = np.empty((d, 2), dtype=np.int64)
+    for a in range(d):
+        kind = rng.integers(3)
+        if kind == 0 and a:
+            ones[a] = ones[rng.integers(a)]
+        elif kind == 1:
+            ones[a] = rng.binomial(class_counts, rng.uniform())
+        else:
+            ones[a] = rng.integers(0, class_counts + 1)
+    banned = set(np.flatnonzero(rng.random(d) < rng.uniform()).tolist())
+    if len(banned) == d:
+        banned.discard(int(rng.integers(d)))
+    tree = HoeffdingTree(schema_of(d), tie_threshold=tie_threshold)
+    leaf = tree.root
+    tree.table.stats[leaf.row, :, 1] = ones
+    tree.table.stats[leaf.row, :, 0] = class_counts - ones
+    leaf.counts = class_counts.tolist()
+    leaf.banned = frozenset(banned)
+    return tree, leaf
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=1, max_value=30),
+       st.sampled_from([0.01, 0.05, 0.2]),
+       st.floats(min_value=0.0, max_value=1.0),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_lead_filter_never_rules_out_a_split(d, tie_threshold, size, seed):
+    """While the bound is at least the tie threshold, a lead that the filter
+    puts below ``eps - margin`` is one that the split rule does not split on,
+    and the filter's lead is the rule's own lead up to rounding."""
+    # eps >= tie_threshold holds for n up to ln(1/delta) / (2 tie^2)
+    n_max = math.floor(math.log(1 / 0.01) / (2 * tie_threshold ** 2))
+    n = 1 + round(size * (n_max - 1))
+    tree, leaf = _leaf_with_counts(d, tie_threshold, n, seed)
+    eps = hoeffding_bound(tree.delta, n)
+    assert eps >= tie_threshold
+
+    lead = tree._lead(leaf, n)
+    gains = np.sort(tree._gains(leaf))
+    second = gains[-2] if d > 1 and gains[-2] != -np.inf else 0.0
+    assert abs(lead - (gains[-1] - second)) < 1e-11
+    if lead < eps - _LEAD_MARGIN:
+        assert tree._split_choice(leaf, eps) is None
