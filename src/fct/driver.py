@@ -105,11 +105,10 @@ class RunReport:
 class FctState:
     """Mutable run state; step() advances it by one instance."""
 
-    def __init__(self, schema: Schema, config: FctConfig,
-                 calibration: Optional[list[Instance]] = None):
+    def __init__(self, schema: Schema, config: FctConfig):
         self.config = config
         self.schema = schema
-        self.forest = Forest(schema, calibration=calibration)
+        self.forest = Forest(schema)
         self.repository = Repository(capacity=config.repository_capacity)
         self.detector = AdwinDetector(delta=config.adwin_delta)
         # before any evidence, tree 0 answers
@@ -181,8 +180,7 @@ class FctState:
 
 
 def run(stream: Iterable[Instance], config: FctConfig,
-        schema: Optional[Schema] = None, window_size: int = 1000,
-        calibration: Optional[list[Instance]] = None) -> RunReport:
+        schema: Optional[Schema] = None, window_size: int = 1000) -> RunReport:
     """Drive a full stream through the loop and collect windowed metrics.
 
     Windows are fixed blocks of arrival positions. A scoring event (a label
@@ -195,7 +193,7 @@ def run(stream: Iterable[Instance], config: FctConfig,
         if not isinstance(stream, InstanceStream):
             raise ConfigError("schema", "required when the stream carries none")
         schema = stream.schema
-    state = FctState(schema, config, calibration=calibration)
+    state = FctState(schema, config)
     report = RunReport(window_size=window_size)
     if isinstance(stream, InstanceStream):
         report.truth_boundaries = stream.boundaries

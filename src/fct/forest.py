@@ -9,8 +9,6 @@ once and hands every tree's leaf the same pending entry.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .errors import NotReadyError
@@ -70,42 +68,14 @@ class Scoreboard:
         return len(self) * ESTIMATOR_BYTES
 
 
-def _calibration_gain_ranking(calibration: Sequence[Instance], d: int) -> list[int]:
-    """Attributes ranked by single-split information gain on a labeled sample."""
-    stats = np.zeros((d, 2, 2))
-    for inst in calibration:
-        stats[np.arange(d), inst.features, inst.label] += 1
-    cls = stats[0].sum(axis=0)
-    n = cls.sum()
-    if n == 0:
-        return list(range(d))
-
-    def entropy(c):
-        t = c.sum()
-        if t == 0:
-            return 0.0
-        p = c / t
-        p = p[p > 0]
-        return float(-(p * np.log2(p)).sum())
-
-    h0 = entropy(cls)
-    gains = np.empty(d)
-    for a in range(d):
-        nv = stats[a].sum(axis=1)
-        cond = sum(nv[v] / n * entropy(stats[a, v]) for v in (0, 1))
-        gains[a] = h0 - cond
-    # stable sort keeps lower attribute ids first on ties
-    return list(np.argsort(-gains, kind="stable"))
-
-
 class Forest:
-    """min(d, tree_cap) trees, one forced root attribute each."""
+    """min(d, tree_cap) trees, one forced root attribute each: attributes
+    0 to min(d, tree_cap) - 1, so with d > tree_cap the lowest ids are kept."""
 
     def __init__(self, schema: Schema, *, tree_cap: int = DEFAULT_TREE_CAP,
                  max_node_count: int = DEFAULT_MAX_NODES,
                  eval_window: int = 500, split_confidence: float = 0.99,
-                 tie_threshold: float = 0.01, check_interval: int = 32,
-                 calibration: Optional[Sequence[Instance]] = None):
+                 tie_threshold: float = 0.01, check_interval: int = 32):
         d = schema.d
         n_trees = min(d, tree_cap)
         if n_trees < 1:
@@ -114,15 +84,8 @@ class Forest:
             raise ValueError(
                 f"max_node_count {max_node_count} cannot hold {n_trees} "
                 f"pre-rooted trees (3 nodes each)")
-        if d <= tree_cap:
-            roots = list(range(d))
-        elif calibration:
-            roots = sorted(_calibration_gain_ranking(calibration, d)[:tree_cap])
-        else:
-            # no sample to rank by: fall back to the lowest attribute ids
-            roots = list(range(tree_cap))
         self.schema = schema
-        self.root_attributes = roots
+        self.root_attributes = list(range(n_trees))
         self.budget = NodeBudget(max_node_count)
         # two leaves per pre-rooted tree; the table doubles as trees grow
         self.table = LeafTable(d, rows=2 * n_trees)
@@ -132,9 +95,9 @@ class Forest:
                           check_interval=check_interval,
                           root_attribute=a, budget=self.budget,
                           table=self.table)
-            for a in roots
+            for a in self.root_attributes
         ]
-        self.scores = Scoreboard(eval_window, len(roots))
+        self.scores = Scoreboard(eval_window, n_trees)
 
     def __len__(self) -> int:
         return len(self.trees)

@@ -12,17 +12,20 @@ current only at a split check, every ``check_interval`` arrivals, when the
 pending instances are added in one step. So at most ``check_interval - 1``
 instances wait per leaf, and a split leaf has always just been flushed.
 
-A check first rules out, cheaply, the leaves that cannot split. While the
-bound ``eps`` is at least the tie threshold, only a gain lead above ``eps``
-can split. With ``L(x) = x log2 x``, the conditional entropy of attribute a
-times the leaf size n is ``S_a = sum_v L(n_av) - sum_vc L(n_avc)``, so the
-lead is ``(S_(2) - S_(1)) / n`` over the two smallest ``S_a`` of the unbanned
-attributes, or ``h0 - S_min / n`` when one is unbanned (the exact rule then
-takes the runner-up gain as 0). In real arithmetic this is the lead that the
-gain evaluation computes. In floats the two differ by rounding only, at most
-about ``5e-15`` on the benchmark streams, so a lead below ``eps - 1e-9``
-cannot split and the check ends there. Every other check runs the gain
-evaluation, which alone picks the split attribute and decides the split.
+The split rule reads information gain from entropy sums alone. With
+``L(x) = x log2 x``, attribute a's conditional class entropy times the leaf
+size n is ``S_a = sum_v (L(n_av) - (L(n_av0) + L(n_av1)))``, so its gain is
+``h0 - S_a / n``. Over the attributes a leaf may still split on, the lead is
+``(S_(2) - S_(1)) / n``, or ``h0 - S_min / n`` when only one is left. A
+check splits when the best gain clears a small floor and either the lead
+exceeds the bound ``eps`` or ``eps`` is below the tie threshold.
+
+``S_a`` is summed per attribute value and then over the two values, with
+each sum a single commutative addition. So an attribute whose counts are
+another's with its values or its classes swapped gets a bit-equal ``S_a``,
+and such exact ties reach the choice as ties. Among the attributes with the
+smallest ``S_a`` the split takes the last one of ``np.argsort(-S)``, the
+order in which ranking the gains themselves breaks ties.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .stream import Schema
 NODE_BYTES = 48
 
 _GAIN_FLOOR = 1e-12  # exact-zero gains must not trigger splits
-# a lead this far below the bound cannot split, whatever the rounding
-_LEAD_MARGIN = 1e-9
 
 # byte v of a feature becomes 2v + c under the table of class c
 _CODE_TABLES = tuple(bytes((2 * v + c) & 0xFF for v in range(256))
@@ -54,13 +55,12 @@ def pending_entry(features: np.ndarray, label: int) -> bytes:
     return features.tobytes().translate(_CODE_TABLES[label])
 
 
-# Row 2v + c of a leaf's (d, 4) counts goes to the columns of n_av and n_avc;
-# the signs then sum S_a = sum_v L(n_av) - sum_vc L(n_avc).
-_S_COLUMNS = np.array([[1, 0, 1, 0, 0, 0],
-                       [1, 0, 0, 1, 0, 0],
-                       [0, 1, 0, 0, 1, 0],
-                       [0, 1, 0, 0, 0, 1]])
-_S_SIGNS = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
+# Rows n_a0, n_a1, n_a00, n_a10, n_a01, n_a11 from the columns 2v + c of a
+# leaf's (d, 4) counts. The product stays in integers: a float one goes
+# through BLAS, whose buffers raise peak memory by about 0.25 MiB.
+_COUNT_ROWS = np.array([[1, 1, 0, 0], [0, 0, 1, 1],
+                        [1, 0, 0, 0], [0, 0, 1, 0],
+                        [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,6 @@ class TreePath:
         return self.defined_mask.bit_count()
 
 
-class _NullBudget:
-    def try_claim(self, n: int) -> bool:
-        return True
-
-    def release(self, n: int) -> None:
-        pass
-
-
 class NodeBudget:
     """Shared allocation counter capping total node count across trees."""
 
@@ -100,9 +92,6 @@ class NodeBudget:
             return False
         self.used += n
         return True
-
-    def release(self, n: int) -> None:
-        self.used -= n
 
 
 class LeafTable:
@@ -144,56 +133,53 @@ class LeafTable:
         self.stats[row] += np.bincount(idx.ravel(), minlength=4 * d).reshape(d, 2, 2)
 
     def entropy_sums(self, row: int) -> np.ndarray:
-        """``S_a = sum_v L(n_av) - sum_vc L(n_avc)`` with ``L(x) = x log2 x``
-        for every attribute a at ``row``."""
+        """``S_a = sum_v (L(n_av) - (L(n_av0) + L(n_av1)))`` with
+        ``L(x) = x log2 x`` for every attribute a at ``row``; swapping an
+        attribute's values or its classes leaves its ``S_a`` bit-equal."""
         d = len(self._attr_offsets)
-        counts = self.stats[row].reshape(d, 4) @ _S_COLUMNS
-        return (counts * np.log2(np.maximum(counts, 1))) @ _S_SIGNS
+        counts = (_COUNT_ROWS @ self.stats[row].reshape(d, 4).T).astype(float)
+        logs = counts * np.log2(np.maximum(counts, 1.0))
+        per_value, class0, class1 = logs.reshape(3, 2, d)
+        t0, t1 = per_value - (class0 + class1)
+        return t0 + t1
 
 
 class _Node:
     __slots__ = ("split_attribute", "children", "frozen_counts",
                  "seed_counts", "counts", "row", "pending", "since_check",
-                 "banned")
+                 "free")
 
-    def __init__(self, d: int, banned: frozenset,
+    def __init__(self, free: tuple[int, ...],
                  seed_counts: Optional[list[int]] = None,
                  row: Optional[int] = None):
-        # d sizes nothing here: a leaf's (d, 2, 2) counts are row ``row`` of
-        # its tree's LeafTable. Split nodes and hand-built nodes hold no row,
-        # and training a leaf without one fails in LeafTable.flush.
         self.split_attribute: Optional[int] = None
         self.children: Optional[list[_Node]] = None
-        self.frozen_counts: Optional[np.ndarray] = None  # set when the node splits
-        # class counts as plain ints: inherited at the split, and own
+        # class counts as plain ints: at the split, inherited, and own
+        self.frozen_counts: Optional[list[int]] = None  # set when the node splits
         self.seed_counts = seed_counts if seed_counts is not None else [0, 0]
         self.counts = [0, 0]
-        self.row = row
+        self.row = row  # the leaf's row of its tree's LeafTable
         self.pending: list[bytes] = []  # unflushed instances, since_check long
         self.since_check = 0
-        self.banned = banned
+        self.free = free  # attributes that the node may still split on
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def total_counts(self) -> np.ndarray:
+    def total_counts(self) -> list[int]:
         (s0, s1), (c0, c1) = self.seed_counts, self.counts
-        return np.array([s0 + c0, s1 + c1], dtype=np.int64)
+        return [s0 + c0, s1 + c1]
 
 
-def _majority(counts: np.ndarray) -> int:
+def _majority(counts: list[int]) -> int:
     # tie breaks toward class 0
     return 1 if counts[1] > counts[0] else 0
 
 
-def _entropy(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _entropy(counts: list[int]) -> float:
+    n = sum(counts)
+    return -sum(c / n * math.log2(c / n) for c in counts if c)
 
 
 def hoeffding_bound(delta: float, n: int) -> float:
@@ -224,8 +210,9 @@ class HoeffdingTree:
         self.delta = 1.0 - split_confidence
         self.tie_threshold = tie_threshold
         self.check_interval = check_interval
-        self.budget = budget if budget is not None else _NullBudget()
+        self.budget = budget if budget is not None else NodeBudget(None)
         self.table = table
+        free = tuple(range(d))
         if root_attribute is not None:
             if not 0 <= root_attribute < d:
                 raise ValueError(f"root attribute {root_attribute} out of range")
@@ -233,18 +220,18 @@ class HoeffdingTree:
             if not self.budget.try_claim(3):
                 raise ValueError("node budget cannot hold the 3 nodes "
                                  "of a pre-rooted tree")
-            root = _Node(d, frozenset())
+            root = _Node(free)
             root.split_attribute = root_attribute
-            root.frozen_counts = np.zeros(2, dtype=np.int64)
-            banned = frozenset((root_attribute,))
-            root.children = [_Node(d, banned, row=table.alloc()),
-                             _Node(d, banned, row=table.alloc())]
+            root.frozen_counts = [0, 0]
+            free = tuple(a for a in free if a != root_attribute)
+            root.children = [_Node(free, row=table.alloc()),
+                             _Node(free, row=table.alloc())]
             self.root = root
             self.node_count = 3
         else:
             if not self.budget.try_claim(1):
                 raise ValueError("node budget cannot hold the root")
-            self.root = _Node(d, frozenset(), row=table.alloc())
+            self.root = _Node(free, row=table.alloc())
             self.node_count = 1
 
     def _route(self, x) -> _Node:
@@ -267,9 +254,8 @@ class HoeffdingTree:
         label = 0
         node = self.root
         while node is not leaf:
-            fc = node.frozen_counts
-            if fc is not None and fc.sum() > 0:
-                label = _majority(fc)
+            if any(node.frozen_counts):
+                label = _majority(node.frozen_counts)
             node = node.children[x[node.split_attribute]]
         return label
 
@@ -293,70 +279,38 @@ class HoeffdingTree:
         (uint8 or int8), as the streams yield them."""
         self._learn(self._route(features), pending_entry(features, label), label)
 
-    def _gains(self, leaf: _Node) -> np.ndarray:
-        stats = self.table.stats[leaf.row]
-        n = sum(leaf.counts)
-        h0 = _entropy(np.array(leaf.counts))
-        nv = stats.sum(axis=2)  # (d, 2) counts per attribute value
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = stats / nv[:, :, None]
-            logs = np.where(stats > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
-        h_branch = -(np.where(stats > 0, p, 0.0) * logs).sum(axis=2)  # (d, 2)
-        cond = (nv / n * h_branch).sum(axis=1)
-        gains = h0 - cond
-        if leaf.banned:
-            gains[list(leaf.banned)] = -np.inf
-        return gains
-
-    def _lead(self, leaf: _Node, n: int) -> float:
-        """The split rule's gain lead at a leaf of n instances, computed from
-        ``S_a`` (see the module docstring); only the rounding differs."""
-        d = self.schema.d
-        s = self.table.entropy_sums(leaf.row)
-        if leaf.banned:
-            s[list(leaf.banned)] = np.inf
-        if d - len(leaf.banned) < 2:
-            return _entropy(np.array(leaf.counts)) - float(s.min()) / n
-        first, second = np.partition(s, 1)[:2].tolist()
-        return (second - first) / n
-
     def _maybe_split(self, leaf: _Node) -> None:
+        if not leaf.free:
+            return
         n = sum(leaf.counts)
-        if n == 0 or len(leaf.banned) >= self.schema.d:
-            return
-        eps = hoeffding_bound(self.delta, n)
-        if eps >= self.tie_threshold and self._lead(leaf, n) < eps - _LEAD_MARGIN:
-            return
-        attr = self._split_choice(leaf, eps)
+        attr = self._split_choice(leaf, n, hoeffding_bound(self.delta, n))
         if attr is not None:
             self._split(leaf, attr)
 
-    def _split_choice(self, leaf: _Node, eps: float) -> Optional[int]:
-        """The attribute that the split rule picks at bound ``eps``, or None."""
-        gains = self._gains(leaf)
-        order = np.argsort(gains)
-        best = int(order[-1])
-        g_best = float(gains[best])
-        g_second = float(gains[order[-2]]) if self.schema.d > 1 else 0.0
-        if g_second == -np.inf:
-            g_second = 0.0
-        if g_best <= _GAIN_FLOOR:
+    def _split_choice(self, leaf: _Node, n: int, eps: float) -> Optional[int]:
+        """The attribute that the split rule picks at a leaf of n instances
+        and bound ``eps``, or None; see the module docstring."""
+        s = self.table.entropy_sums(leaf.row)
+        low = sorted(map(s.tolist().__getitem__, leaf.free))
+        best_gain = _entropy(leaf.counts) - low[0] / n
+        lead = (low[1] - low[0]) / n if len(low) > 1 else best_gain
+        if best_gain <= _GAIN_FLOOR or (lead <= eps and eps >= self.tie_threshold):
             return None
-        if (g_best - g_second > eps) or (eps < self.tie_threshold):
-            return best
-        return None
+        neg = np.full(len(s), -np.inf)
+        free = list(leaf.free)
+        neg[free] = -s[free]
+        return int(np.argsort(neg)[-1])
 
     def _split(self, leaf: _Node, attr: int) -> None:
         if not self.budget.try_claim(2):
             return
-        d = self.schema.d
-        banned = leaf.banned | {attr}
+        free = tuple(a for a in leaf.free if a != attr)
         seeds = self.table.stats[leaf.row, attr].tolist()
         self.table.release(leaf.row)
         leaf.row = None
         leaf.split_attribute = attr
         leaf.frozen_counts = leaf.total_counts()
-        leaf.children = [_Node(d, banned, seed_counts=seeds[v],
+        leaf.children = [_Node(free, seed_counts=seeds[v],
                                row=self.table.alloc()) for v in (0, 1)]
         self.node_count += 2
 
@@ -365,10 +319,10 @@ class HoeffdingTree:
         out: list[TreePath] = []
 
         def walk(node: _Node, defined: int, ones: int,
-                 fallback: Optional[np.ndarray]) -> None:
+                 fallback: Optional[list[int]]) -> None:
             if node.is_leaf:
                 totals = node.total_counts()
-                if totals.sum() > 0:
+                if any(totals):
                     label = _majority(totals)
                 elif fallback is not None:
                     label = _majority(fallback)
@@ -376,9 +330,8 @@ class HoeffdingTree:
                     label = 0
                 out.append(TreePath(defined, ones, label))
                 return
-            fc = node.frozen_counts
-            if fc is not None and fc.sum() > 0:
-                fallback = fc
+            if any(node.frozen_counts):
+                fallback = node.frozen_counts
             a = node.split_attribute
             walk(node.children[0], defined | (1 << a), ones, fallback)
             walk(node.children[1], defined | (1 << a), ones | (1 << a), fallback)
@@ -408,7 +361,7 @@ class HoeffdingTree:
         def walk(node: _Node, indent: str) -> None:
             if node.is_leaf:
                 t = node.total_counts()
-                lines.append(f"{indent}leaf counts={t.tolist()} -> {_majority(t)}")
+                lines.append(f"{indent}leaf counts={t} -> {_majority(t)}")
                 return
             name = self.schema.attribute_names[node.split_attribute]
             for v in (0, 1):

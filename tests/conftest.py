@@ -1,7 +1,7 @@
 """Shared helpers: hand-built trees, an independent Walsh transform, the
 share of one path in one coefficient, random tree growth used by several
-suites, an eager leaf-count oracle and a per-model sliding accuracy
-oracle."""
+suites, an eager leaf-count oracle, a per-model sliding accuracy oracle and
+a probability-form split rule oracle."""
 
 from __future__ import annotations
 
@@ -34,20 +34,21 @@ def manual_tree(d: int, structure) -> HoeffdingTree:
     """
     tree = HoeffdingTree(schema_of(d))
 
-    def build(spec, banned: frozenset) -> tuple[_Node, int]:
-        node = _Node(d, banned)
+    def build(spec, free: tuple) -> tuple[_Node, int]:
+        node = _Node(free)
         if isinstance(spec, int):
             node.counts[spec] = 1
             return node, 1
         attr, zero, one = spec
         node.split_attribute = attr
-        node.frozen_counts = np.zeros(2, dtype=np.int64)
-        left, nl = build(zero, banned | {attr})
-        right, nr = build(one, banned | {attr})
+        node.frozen_counts = [0, 0]
+        free = tuple(a for a in free if a != attr)
+        left, nl = build(zero, free)
+        right, nr = build(one, free)
         node.children = [left, right]
         return node, nl + nr + 1
 
-    tree.root, tree.node_count = build(structure, frozenset())
+    tree.root, tree.node_count = build(structure, tuple(range(d)))
     return tree
 
 
@@ -158,6 +159,47 @@ def flushed_row(tree: HoeffdingTree, leaf: _Node) -> np.ndarray:
     copy.stats[0] = tree.table.stats[leaf.row]
     copy.flush(0, leaf.pending)
     return copy.stats[0]
+
+
+def _entropy(counts: np.ndarray) -> float:
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def oracle_split_choice(stats: np.ndarray, counts: list[int], free,
+                        eps: float, tie_threshold: float):
+    """The split rule in probability form, which the entropy-sum rule
+    replaced, kept as its oracle: ``(choice, lead)`` for a leaf with (d, 2, 2)
+    counts ``stats``, class counts ``counts`` and the attributes ``free``
+    that it may still split on. ``choice`` is None when the leaf does not
+    split; ``lead`` is the best gain less the runner-up's, which is taken as
+    0 when only one attribute is free."""
+    n = sum(counts)
+    h0 = _entropy(np.array(counts))
+    nv = stats.sum(axis=2)  # (d, 2) counts per attribute value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = stats / nv[:, :, None]
+        logs = np.where(stats > 0, np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    h_branch = -(np.where(stats > 0, p, 0.0) * logs).sum(axis=2)  # (d, 2)
+    cond = (nv / n * h_branch).sum(axis=1)
+    gains = np.full(len(stats), -np.inf)
+    gains[list(free)] = (h0 - cond)[list(free)]
+    order = np.argsort(gains)
+    best = int(order[-1])
+    g_best = float(gains[best])
+    g_second = float(gains[order[-2]]) if len(stats) > 1 else 0.0
+    if g_second == -np.inf:
+        g_second = 0.0
+    lead = g_best - g_second
+    if g_best <= 1e-12:  # exact-zero gains must not trigger splits
+        return None, lead
+    if lead > eps or eps < tie_threshold:
+        return best, lead
+    return None, lead
 
 
 class SlidingAccuracy:

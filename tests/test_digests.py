@@ -1,11 +1,16 @@
 """Output digests of short runs of the three benchmark workload configs and
-of a hyperplane config.
+of a hyperplane config, and tree digests of forests grown above the default
+tie threshold.
 
 The first three take the options of ``perfbench/bench.py``'s ``WORKLOADS``,
 at one seed each. Those cover only the SEA and RBF generators, so a
 hyperplane stream is pinned too. A change meant to keep outputs
 byte-identical must keep these digests; a change meant to move outputs
 updates them and says why.
+
+All four runs keep the tie threshold at 0.01, where a leaf breaks a tie only
+after about 23k instances, so they rarely reach the tie rule or a tied
+choice. The forests of ``GROWTH`` split at 0.1, where both are common.
 """
 
 import hashlib
@@ -13,6 +18,7 @@ import hashlib
 import pytest
 
 from fct import harness
+from fct.forest import Forest
 
 WORKLOADS = {
     "sea-recurring": {"dataset": "sea", "segments": "4x2500x2",
@@ -59,3 +65,27 @@ def test_workload_outputs_keep_their_digests(name, tmp_path):
     got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
            for f in DIGESTS[name]}
     assert got == DIGESTS[name]
+
+
+GROWTH = {
+    "sea-3bit": {"dataset": "sea", "bits_per_attr": 3},
+    "rbf-2bit": {"dataset": "rbf", "bits_per_attr": 2},
+}
+
+GROWTH_DIGESTS = {
+    "sea-3bit": "1b5b26270fc99970457fdd3d213a9fcacb936cf0a87a303d17ca3393259cbabf",
+    "rbf-2bit": "bfe89efac132239bdb130734eb00b630ab519392fb23d2d3d8c7fc88335b58cf",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROWTH))
+def test_forest_growth_at_tie_threshold_0_1_keeps_its_digest(name):
+    stream = harness.build_stream(dict(harness.DEFAULTS, **GROWTH[name],
+                                       segments="4x5000x1", seed=1000))
+    forest = Forest(stream.schema, tie_threshold=0.1)
+    for inst in stream:
+        forest.train(inst)
+    paths = [[(p.defined_mask, p.ones_mask, p.label)
+              for p in tree.extract_paths()] for tree in forest.trees]
+    got = hashlib.sha256(repr(paths).encode()).hexdigest()
+    assert got == GROWTH_DIGESTS[name]

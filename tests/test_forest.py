@@ -32,22 +32,6 @@ def test_single_attribute_schema_gets_single_tree():
     assert forest.root_attributes == [0]
 
 
-def test_cap_with_calibration_keeps_informative_roots():
-    """When d exceeds the cap, a labeled sample decides which roots to keep.
-
-    Only attribute 4 varies in the sample and it equals the label, so it has
-    the only nonzero gain; the remaining slots fall to the lowest ids.
-    """
-    feats = np.zeros((40, 6), dtype=np.int8)
-    feats[::2, 4] = 1
-    labels = feats[:, 4].tolist()
-    calib = _instances(feats, labels)
-    forest = Forest(schema_of(6), tree_cap=3, max_node_count=100,
-                    calibration=calib)
-    assert len(forest) == 3
-    assert forest.root_attributes == [0, 1, 4]
-
-
 def test_cap_without_calibration_falls_back_to_low_ids():
     forest = Forest(schema_of(6), tree_cap=3, max_node_count=100)
     assert forest.root_attributes == [0, 1, 2]
@@ -290,4 +274,5 @@ def test_deferred_leaf_counts_match_eager_counts_after_every_instance(
                     # share out every instance that the leaf had counted
                     zero, one = (child.seed_counts for child in node.children)
                     seeds = np.add(zero, one)
-                    assert (seeds == node.frozen_counts - node.seed_counts).all()
+                    assert (seeds == np.subtract(node.frozen_counts,
+                                                 node.seed_counts)).all()

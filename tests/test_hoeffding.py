@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_inputs, grow_random_tree, manual_tree, schema_of
-from fct.hoeffding import (_LEAD_MARGIN, NODE_BYTES, HoeffdingTree,
-                           NodeBudget, hoeffding_bound)
+from conftest import (all_inputs, grow_random_tree, manual_tree,
+                      oracle_split_choice, schema_of)
+from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget, hoeffding_bound
 
 # sqrt(ln(1/0.01) / (2*32)), the bound after one check interval at the
 # default confidence
@@ -87,7 +87,7 @@ def test_forced_root_out_of_range():
 def test_empty_leaf_falls_back_to_ancestor_majority():
     tree = manual_tree(4, (0, 1, (2, 0, 1)))
     inner = tree.root.children[1]
-    inner.frozen_counts = np.array([2, 9], dtype=np.int64)
+    inner.frozen_counts = [2, 9]
     empty = inner.children[0]
     empty.counts = [0, 0]
     x = np.array([1, 0, 0, 0], dtype=np.uint8)
@@ -188,55 +188,71 @@ def test_dump_mentions_attribute_names(rng):
 
 def _leaf_with_counts(d, tie_threshold, n, seed):
     """A tree whose root leaf holds a random consistent (d, 2, 2) count table
-    of n instances and a random banned set that leaves an attribute free.
+    of n instances, and a random set of free attributes that is not empty.
 
     Attributes are a mix of random splits of each class, splits independent
-    of the class (gain near 0) and copies of earlier attributes (exact gain
-    ties), so leads land both far from and near the bound.
+    of the class (gain near 0), and exact gain ties: copies of earlier
+    attributes, copies with the values swapped and, when the two classes are
+    equally frequent, copies with the classes swapped. So leads land both
+    far from and near the bound, and choices meet ties.
     """
     rng = np.random.default_rng(seed)
-    n1 = int(rng.integers(0, n + 1))
+    if n % 2 == 0 and rng.random() < 0.3:
+        n1 = n // 2
+    else:
+        n1 = int(rng.integers(0, n + 1))
     class_counts = np.array([n - n1, n1])
-    ones = np.empty((d, 2), dtype=np.int64)
+    ones = np.empty((d, 2), dtype=np.int64)  # counts with attribute == 1
     for a in range(d):
-        kind = rng.integers(3)
-        if kind == 0 and a:
-            ones[a] = ones[rng.integers(a)]
-        elif kind == 1:
+        kind = rng.integers(5) if a else rng.integers(2)
+        if kind == 0:
             ones[a] = rng.binomial(class_counts, rng.uniform())
-        else:
+        elif kind == 1:
             ones[a] = rng.integers(0, class_counts + 1)
-    banned = set(np.flatnonzero(rng.random(d) < rng.uniform()).tolist())
-    if len(banned) == d:
-        banned.discard(int(rng.integers(d)))
+        else:
+            earlier = ones[rng.integers(a)]
+            if kind == 3:
+                ones[a] = class_counts - earlier  # values swapped
+            elif kind == 4 and class_counts[0] == class_counts[1]:
+                ones[a] = earlier[::-1]  # classes swapped
+            else:
+                ones[a] = earlier
+    free = tuple(np.flatnonzero(rng.random(d) >= rng.uniform()).tolist())
+    if not free:
+        free = (int(rng.integers(d)),)
     tree = HoeffdingTree(schema_of(d), tie_threshold=tie_threshold)
     leaf = tree.root
     tree.table.stats[leaf.row, :, 1] = ones
     tree.table.stats[leaf.row, :, 0] = class_counts - ones
     leaf.counts = class_counts.tolist()
-    leaf.banned = frozenset(banned)
+    leaf.free = free
     return tree, leaf
 
 
-@settings(max_examples=400)
+@settings(max_examples=600)
 @given(st.integers(min_value=1, max_value=30),
-       st.sampled_from([0.01, 0.05, 0.2]),
+       st.sampled_from([0.01, 0.05, 0.1, 0.2]),
+       st.booleans(),
        st.floats(min_value=0.0, max_value=1.0),
        st.integers(min_value=0, max_value=2**32 - 1))
-def test_lead_filter_never_rules_out_a_split(d, tie_threshold, size, seed):
-    """While the bound is at least the tie threshold, a lead that the filter
-    puts below ``eps - margin`` is one that the split rule does not split on,
-    and the filter's lead is the rule's own lead up to rounding."""
+def test_split_choice_matches_the_probability_form_oracle(
+        d, tie_threshold, tie_regime, size, seed):
+    """The entropy-sum split rule picks what the probability-form rule picks,
+    ties included, on both sides of the tie threshold. The one exception is
+    a lead within rounding of the bound while the bound decides."""
     # eps >= tie_threshold holds for n up to ln(1/delta) / (2 tie^2)
-    n_max = math.floor(math.log(1 / 0.01) / (2 * tie_threshold ** 2))
-    n = 1 + round(size * (n_max - 1))
+    n_tie = math.floor(math.log(1 / 0.01) / (2 * tie_threshold ** 2))
+    if tie_regime:
+        n = n_tie + 1 + round(size * (60_000 - n_tie - 1))
+    else:
+        n = 1 + round(size * (n_tie - 1))
     tree, leaf = _leaf_with_counts(d, tie_threshold, n, seed)
     eps = hoeffding_bound(tree.delta, n)
-    assert eps >= tie_threshold
+    assert (eps < tie_threshold) == tie_regime
 
-    lead = tree._lead(leaf, n)
-    gains = np.sort(tree._gains(leaf))
-    second = gains[-2] if d > 1 and gains[-2] != -np.inf else 0.0
-    assert abs(lead - (gains[-1] - second)) < 1e-11
-    if lead < eps - _LEAD_MARGIN:
-        assert tree._split_choice(leaf, eps) is None
+    expected, lead = oracle_split_choice(tree.table.stats[leaf.row],
+                                         leaf.counts, leaf.free, eps,
+                                         tie_threshold)
+    if eps >= tie_threshold and abs(lead - eps) < 1e-9:
+        return
+    assert tree._split_choice(leaf, n, eps) == expected
