@@ -38,8 +38,11 @@ class NotReadyError(FctError):
 
 
 class ConfigError(FctError):
-    """Invalid run configuration; carries the offending key name."""
+    """Invalid run configuration; carries the offending key name, and
+    ``where`` it was read (a config file and line) when it came from a file."""
 
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
+    def __init__(self, key: str, message: str, where: str = ""):
+        super().__init__(f"{where}: {key}: {message}" if where
+                         else f"{key}: {message}")
         self.key = key
+        self.message = message

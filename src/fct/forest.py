@@ -9,6 +9,8 @@ once and hands every tree's leaf the same pending entry.
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from .errors import NotReadyError
@@ -27,39 +29,62 @@ DEFAULT_MAX_NODES = 5000
 class Scoreboard:
     """Hit rates of a changing set of models over their last ``window`` labels.
 
-    Row ``labels % window`` of one (window, models) ring of hit bits takes
-    each label's bits. A model that joins gets a zero column and is scored
-    over the labels recorded since it joined; a model with none reads 0.0.
+    ``record`` only queues one label's item and counts the label. The queue
+    is scored when the scores are read (``accuracies``) or before the model
+    set changes (``join``, ``drop``, ``sync``): ``hits`` turns the queued
+    items, oldest first, into one row of hit bits each, against the models
+    in place when they were recorded. Only the last ``window`` items are
+    kept, because an older label's row is overwritten before any read.
+
+    Row ``label % window`` of one (window, models) ring of hit bits holds a
+    label's bits. A model that joins gets a zero column and is scored over
+    the labels recorded since it joined; a model with none reads 0.0.
     """
 
-    def __init__(self, window: int, models: int = 0):
+    def __init__(self, window: int, models: int = 0, hits=list):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.ring = np.zeros((window, models), dtype=np.uint8)
         self.labels = 0
         self.joined = [0] * models  # label count when each model joined
+        self.hits = hits
+        self.queue: deque = deque(maxlen=window)
 
     def __len__(self) -> int:
         return len(self.joined)
 
     def join(self) -> None:
+        self.sync()
         self.ring = np.insert(self.ring, len(self), 0, axis=1)
         self.joined.append(self.labels)
 
     def drop(self, i: int) -> None:
+        self.sync()
         self.ring = np.delete(self.ring, i, axis=1)
         del self.joined[i]
 
-    def record(self, bits) -> None:
-        """One label's hit bits, one per model in column order."""
-        self.ring[self.labels % self.window] = bits
+    def record(self, item) -> None:
+        """Queue one label's item: what ``hits`` turns into its hit bits.
+
+        The item is held by reference until the next ``accuracies``,
+        ``join``, ``drop`` or ``sync``; it must not be changed after
+        ``record``, so give a new item per label, never a reused buffer."""
+        self.queue.append(item)
         self.labels += 1
+
+    def sync(self) -> None:
+        """Write the queued labels' hit bits into their ring rows."""
+        if self.queue:
+            rows = np.arange(self.labels - len(self.queue), self.labels)
+            self.ring[rows % self.window] = self.hits(self.queue)
+            self.queue.clear()
 
     def counts(self) -> np.ndarray:
         return np.minimum(self.window, self.labels - np.array(self.joined))
 
     def accuracies(self) -> list[float]:
+        self.sync()
         counts = self.counts()
         return np.divide(self.ring.sum(axis=0), counts, out=np.zeros(len(self)),
                          where=counts > 0).tolist()

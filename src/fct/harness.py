@@ -163,10 +163,14 @@ def _load_config_file(path: str) -> dict:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip().replace("-", "_")
+            where = f"{path} line {lineno}"
             if not sep or key not in OPTIONS:
-                raise ConfigError(key or f"line {lineno}",
-                                  "unknown or malformed config entry")
-            out[key] = _coerce(key, value.strip())
+                raise ConfigError(key or "entry",
+                                  "unknown or malformed config entry", where)
+            try:
+                out[key] = _coerce(key, value.strip())
+            except ConfigError as e:
+                raise ConfigError(key, e.message, where) from None
     return out
 
 

@@ -1,8 +1,12 @@
 """Bounded store of compressed models with usage-weighted eviction.
 
 One scoreboard holds every entry's sliding accuracy over recent stream
-instances, one column per entry; each entry keeps a tally of how often it was
-chosen as the winning model. When the store is full the entry with the lowest
+instances, one column per entry. Observed instances only queue there; they
+are scored in one batch, against the entries stored when they were observed,
+when the accuracies are read (at a drift, and at export) or before the entry
+set changes. Only the last ``eval_window`` instances count, so older ones are
+never evaluated. Each entry keeps a tally of how often it was chosen as the
+winning model. When the store is full the entry with the lowest
 tally * accuracy product is evicted; near-duplicate spectra are refused
 outright.
 """
@@ -20,6 +24,8 @@ from .forest import Scoreboard
 from .spectrum import FourierSpectrum, Packed, parity_sums, spectra_equal, stack
 from .stream import Instance
 
+_CHUNK = 64  # instances per batch of repository scoring
+
 
 class RepositoryEntry:
     def __init__(self, spectrum: FourierSpectrum, entry_id: int):
@@ -36,7 +42,8 @@ class Repository:
         self.capacity = capacity
         self.duplicate_tolerance = duplicate_tolerance
         self.entries: list[RepositoryEntry] = []
-        self.scores = Scoreboard(eval_window)  # column i scores entries[i]
+        # column i scores entries[i]
+        self.scores = Scoreboard(eval_window, hits=self._hits)
         self._next_id = 0
         self._packed: Optional[Packed] = None  # every entry, one block each
 
@@ -58,6 +65,7 @@ class Repository:
         for e in self.entries:
             if spectra_equal(e.spectrum, spectrum, self.duplicate_tolerance):
                 return False
+        self.scores.sync()  # queued instances score against the old entries
         if len(self.entries) >= self.capacity:
             # entries never yet scored weigh as 0
             accs = self.scores.accuracies()
@@ -73,7 +81,8 @@ class Repository:
         return True
 
     def observe(self, inst: Instance) -> None:
-        """Score every entry's prediction of one labeled instance."""
+        """Queue one labeled instance for scoring by every entry; it is kept,
+        unchanged, until the scores are next read or the entries change."""
         if not self.entries:
             return
         d = self.entries[0].spectrum.attribute_count
@@ -81,13 +90,26 @@ class Repository:
             raise SchemaError(
                 f"instance has {len(inst.features)} attributes, repository "
                 f"holds spectra over {d}")
-        self.scores.record(self.classify_all(inst.features) == inst.label)
+        self.scores.record(inst)
+
+    def _hits(self, queued) -> np.ndarray:
+        """Hit bits of every entry on each queued instance, one row each,
+        evaluated in chunks of ``_CHUNK`` rows to bound the temporaries."""
+        insts = list(queued)
+        out = np.empty((len(insts), len(self.entries)), dtype=bool)
+        for start in range(0, len(insts), _CHUNK):
+            chunk = insts[start:start + _CHUNK]
+            labels = np.array([inst.label for inst in chunk])
+            out[start:start + _CHUNK] = self.classify_all(
+                np.stack([inst.features for inst in chunk])) == labels[:, None]
+        return out
 
     def classify_all(self, features: np.ndarray) -> np.ndarray:
-        """Vector of per-entry class predictions for one instance."""
+        """Class predictions of every entry for an (n, d) instance matrix,
+        shape (n, entries)."""
         if not self.entries:
-            return np.zeros(0, dtype=np.uint8)
-        sums = parity_sums(self._packed, features[None, :])[0]
+            return np.zeros((len(features), 0), dtype=np.uint8)
+        sums = parity_sums(self._packed, features)
         return (sums >= 0.5).astype(np.uint8)
 
     def best(self) -> Optional[tuple[int, RepositoryEntry, float]]:

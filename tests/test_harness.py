@@ -138,19 +138,24 @@ def test_config_file_merging(tmp_path):
     assert opts["mode"] == "fct"           # untouched default
 
 
-def test_config_file_errors(tmp_path):
-    bad_key = tmp_path / "a.cfg"
-    bad_key.write_text("frobnicate = 1\n")
-    with pytest.raises(ConfigError):
-        _load_config_file(str(bad_key))
+def test_config_file_errors(tmp_path, capsys):
+    # each error names the file and the 1-based line, after comments and
+    # blank lines, and keeps the key it is about
+    for name, text, key, lineno in (
+            ("a.cfg", "seed = 3\nfrobnicate = 1\n", "frobnicate", 2),
+            ("b.cfg", "# comment\n\ndelay = soon\n", "delay", 3),
+            ("c.cfg", "delay\n", "delay", 1)):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            _load_config_file(str(path))
+        assert info.value.key == key
+        assert str(info.value).startswith(f"{path} line {lineno}: {key}: ")
     bad_value = tmp_path / "b.cfg"
-    bad_value.write_text("delay = soon\n")
-    with pytest.raises(ConfigError):
-        _load_config_file(str(bad_value))
-    no_eq = tmp_path / "c.cfg"
-    no_eq.write_text("delay\n")
-    with pytest.raises(ConfigError):
-        _load_config_file(str(no_eq))
+    assert run_cli("run", "--config", str(bad_value),
+                   "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad_value} line 3: delay: cannot parse 'soon'\n")
 
 
 @pytest.mark.parametrize("key", list(DEFAULTS))

@@ -1,9 +1,11 @@
 """Bounded spectrum store: duplicates, eviction order, winner queries."""
 
+import copy
 import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fct.errors import SchemaError
 from fct.forest import ESTIMATOR_BYTES
@@ -11,7 +13,7 @@ from fct.repository import Repository
 from fct.spectrum import FourierSpectrum, dft, inverse_classify, spectra_equal
 from fct.stream import Instance
 
-from conftest import all_inputs, grow_random_tree
+from conftest import SlidingAccuracy, all_inputs, grow_random_tree
 
 
 def spectrum_for_attribute(a: int, d: int = 4) -> FourierSpectrum:
@@ -171,12 +173,14 @@ def test_classify_all_matches_per_spectrum_classification():
     assert len(repo) >= 2
     inputs = all_inputs(d)
     rows = inputs[:: max(1, len(inputs) // 40)]
+    got = repo.classify_all(rows.astype(np.int8))
+    assert got.shape == (len(rows), len(repo))
     batch = [e.spectrum.evaluate_batch(rows) for e in repo.entries]
     for r, row in enumerate(rows):
-        got = repo.classify_all(row.astype(np.int8))
         want = [inverse_classify(e.spectrum, row) for e in repo.entries]
-        assert got.tolist() == want
-        assert got.tolist() == [int(values[r] >= 0.5) for values in batch]
+        assert got[r].tolist() == want
+        assert got[r].tolist() == [int(values[r] >= 0.5) for values in batch]
+    assert Repository(capacity=2).classify_all(rows).shape == (len(rows), 0)
 
 
 def test_memory_cost_is_sum_of_entries():
@@ -208,3 +212,84 @@ def test_export_round_trips_spectra(tmp_path):
         loaded = FourierSpectrum.read(out / row["file"])
         assert spectra_equal(loaded, entry.spectrum, 1e-12)
         assert loaded.order_cutoff == entry.spectrum.order_cutoff
+
+
+def random_spectrum(seed: int, d: int = 4) -> FourierSpectrum:
+    """A spectrum with up to three nonzero coefficients besides the mean,
+    each a multiple of 1/8, so most of them are not duplicates."""
+    rng = np.random.default_rng(seed)
+    coefficients = {0: 0.5}
+    for mask in rng.integers(1, 1 << d, size=rng.integers(1, 4)):
+        coefficients[int(mask)] = int(rng.integers(-4, 5)) / 8
+    return FourierSpectrum(d, coefficients, 1, 1.0)
+
+
+# One step on a repository: observe a burst of labeled instances (up to 12,
+# so one burst can overflow a small window), then insert a new spectrum or a
+# copy of a stored one, set an entry's winner tally, or read the best entry.
+# The seed draws the instances and the action's spectrum, entry and tally.
+repository_steps = st.lists(st.tuples(
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from(["insert", "duplicate", "tally", "best"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+), max_size=30)
+
+
+@settings(max_examples=150)
+@given(st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=4), repository_steps)
+def test_lazy_scoring_matches_eager_scoring(window, capacity, steps):
+    """Queued instances score as if each were scored when observed.
+
+    The oracle scores each label as it is observed, with one
+    ``classify_all`` per label into one deque per entry, and predicts each
+    insert's outcome and victim from its own accuracies. The checks after
+    each operation read a copy of the repository, so queued labels stay
+    queued into the next operation, across inserts and evictions.
+    """
+    d = 4
+    repo = Repository(capacity=capacity, eval_window=window)
+    oracles: dict[int, SlidingAccuracy] = {}  # entry id -> eager score
+
+    def check(step):
+        assert [e.entry_id for e in repo.entries] == list(oracles), step
+        assert len(repo.scores.queue) <= window
+        assert repo.scores.counts().tolist() == [
+            o.count for o in oracles.values()], step
+        assert copy.deepcopy(repo).scores.accuracies() == [
+            o.accuracy for o in oracles.values()], step
+
+    for step, (burst, action, seed) in enumerate(steps):
+        rng = np.random.default_rng(seed)
+        for _ in range(burst):
+            inst = _inst(rng.integers(0, 2, d), int(rng.integers(0, 2)))
+            predictions = repo.classify_all(inst.features[None, :])[0]
+            for e, p in zip(repo.entries, predictions):
+                oracles[e.entry_id].update(p == inst.label)
+            repo.observe(inst)
+        check(step)
+        pick = repo.entries[int(rng.integers(0, len(repo)))] if repo else None
+        if action == "insert" or (action == "duplicate" and pick):
+            spectrum = (random_spectrum(seed) if action == "insert"
+                        else copy.deepcopy(pick.spectrum))
+            duplicate = any(spectra_equal(e.spectrum, spectrum,
+                                          repo.duplicate_tolerance)
+                            for e in repo.entries)
+            victim = None
+            if not duplicate and len(repo) == capacity:
+                victim = min(repo.entries, key=lambda e: (
+                    e.winner_tally * oracles[e.entry_id].accuracy,
+                    e.entry_id)).entry_id
+            assert repo.insert(spectrum) is not duplicate
+            if victim is not None:
+                assert repo.find(victim) is None
+                del oracles[victim]
+            if not duplicate:
+                oracles[repo.entries[-1].entry_id] = SlidingAccuracy(window)
+        elif action == "tally" and pick:
+            pick.winner_tally = int(rng.integers(0, 4))
+        elif action == "best" and pick:
+            _, entry, acc = repo.best()
+            assert acc == max(o.accuracy for o in oracles.values())
+            assert acc == oracles[entry.entry_id].accuracy
+        check(step)
