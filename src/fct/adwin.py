@@ -1,11 +1,14 @@
 """Adaptive-window change detector over a Bernoulli error stream.
 
-The window is held as an exponential histogram: row i stores buckets that
-each summarize 2**i observations, newest first, and at most ``max_buckets``+1
-buckets per row before the two oldest merge one row up. The boundary after
-each bucket splits the window into an old side (``n0`` observations, ``s0``
-errors) and a new side (``n1``, ``s1``). When some boundary with at least
-``min_side`` observations on each side has side means that differ by at least
+The window is held as an exponential histogram: row i holds buckets of
+2**i observations each, newest first, and at most ``max_buckets``+1 buckets
+per row before the two oldest merge one row up. A bucket is kept as its end
+position, counted in observations since the detector's creation; its errors
+are the errors up to its end less those up to the previous bucket's end.
+The boundary after each bucket splits the window into an old side (``n0``
+observations, ``s0`` errors) and a new side (``n1``, ``s1``). When some
+boundary with at least ``min_side`` observations on each side has side
+means that differ by at least
 
     eps = sqrt(ln(4 w / delta) / (2 m)),   m = 1 / (1/n0 + 1/n1),
 
@@ -60,12 +63,10 @@ class AdwinDetector:
         self.delta = delta
         self.max_buckets = max_buckets
         self.min_side = min_side
-        # rows[i]: sums of buckets of size 2**i, newest at index 0
+        # rows[i]: end positions of buckets of size 2**i, newest at index 0
         self.rows: list[deque] = [deque()]
         self.width = 0
         self.total = 0
-        # ends[i][j]: absolute end position of bucket rows[i][j]
-        self._ends: list[deque] = [deque()]
         self._errors_at: dict[int, int] = {}  # live boundary pos -> errors up to it
         self._seen = 0       # observations ever added
         self._dropped = 0    # observations ever cut, = pos of the last dropped bucket
@@ -81,12 +82,11 @@ class AdwinDetector:
         """Insert one observation (1 = error); True when the window was cut."""
         if bit not in (0, 1):
             raise ValueError("detector accepts bits only")
-        self.rows[0].appendleft(bit)
         self.width += 1
         self.total += bit
         self._seen += 1
         pos = self._seen
-        self._ends[0].appendleft(pos)
+        self.rows[0].appendleft(pos)
         self._errors_at[pos] = self._dropped_errors + self.total
         if not self._rescan:
             heapq.heappush(self._due, (pos + self.min_side, pos))
@@ -98,23 +98,21 @@ class AdwinDetector:
         while i < len(self.rows) and len(self.rows[i]) > self.max_buckets + 1:
             if i + 1 == len(self.rows):
                 self.rows.append(deque())
-                self._ends.append(deque())
-            oldest = self.rows[i].pop()
-            second = self.rows[i].pop()
-            # merged bucket is still newer than everything one row up
-            self.rows[i + 1].appendleft(oldest + second)
-            del self._errors_at[self._ends[i].pop()]
-            self._ends[i + 1].appendleft(self._ends[i].pop())
+            row = self.rows[i]
+            # the boundary between the two oldest goes; the merged bucket
+            # ends where the newer did, still newer than everything one row up
+            del self._errors_at[row.pop()]
+            self.rows[i + 1].appendleft(row.pop())
             i += 1
 
     def _drop_oldest(self) -> None:
         for i in range(len(self.rows) - 1, -1, -1):
             if self.rows[i]:
-                s = self.rows[i].pop()
+                end = self.rows[i].pop()
                 self.width -= 1 << i
-                self.total -= s
-                self._dropped = self._ends[i].pop()
-                self._dropped_errors = self._errors_at.pop(self._dropped)
+                self.total -= self._errors_at[end] - self._dropped_errors
+                self._dropped = end
+                self._dropped_errors = self._errors_at.pop(end)
                 self._rescan = True
                 return
 

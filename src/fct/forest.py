@@ -140,7 +140,7 @@ class Forest:
         hits = []
         for tree in self.trees:
             leaf = tree._route(x)
-            hits.append(tree._leaf_label(leaf, x) == label)
+            hits.append(leaf.label() == label)
             tree._learn(leaf, entry, label)
         self.scores.record(hits)
 

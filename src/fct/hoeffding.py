@@ -12,6 +12,10 @@ current only at a split check, every ``check_interval`` arrivals, when the
 pending instances are added in one step. So at most ``check_interval - 1``
 instances wait per leaf, and a split leaf has always just been flushed.
 
+A leaf's class is :meth:`_Node.label`, which every reader of a class calls.
+While the leaf's seed and own counts are empty it is the leaf's
+``fallback``: its parent's class when the parent split, 0 under a root.
+
 The split rule reads information gain from entropy sums alone. With
 ``L(x) = x log2 x``, attribute a's conditional class entropy times the leaf
 size n is ``S_a = sum_v (L(n_av) - (L(n_av0) + L(n_av1)))``, so its gain is
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -145,36 +149,36 @@ class LeafTable:
 
 
 class _Node:
-    __slots__ = ("split_attribute", "children", "frozen_counts",
-                 "seed_counts", "counts", "row", "pending", "since_check",
-                 "free")
+    __slots__ = ("split_attribute", "children", "seed_counts", "counts",
+                 "fallback", "row", "pending", "free")
 
     def __init__(self, free: tuple[int, ...],
                  seed_counts: Optional[list[int]] = None,
-                 row: Optional[int] = None):
+                 row: Optional[int] = None, fallback: int = 0):
         self.split_attribute: Optional[int] = None
         self.children: Optional[list[_Node]] = None
-        # class counts as plain ints: at the split, inherited, and own
-        self.frozen_counts: Optional[list[int]] = None  # set when the node splits
+        # class counts as plain ints: inherited at the split, and own
         self.seed_counts = seed_counts if seed_counts is not None else [0, 0]
         self.counts = [0, 0]
+        self.fallback = fallback  # the class while both counts are empty
         self.row = row  # the leaf's row of its tree's LeafTable
-        self.pending: list[bytes] = []  # unflushed instances, since_check long
-        self.since_check = 0
+        self.pending: list[bytes] = []  # instances not yet in the row
         self.free = free  # attributes that the node may still split on
 
     @property
     def is_leaf(self) -> bool:
         return self.children is None
 
-    def total_counts(self) -> list[int]:
-        (s0, s1), (c0, c1) = self.seed_counts, self.counts
-        return [s0 + c0, s1 + c1]
-
-
-def _majority(counts: list[int]) -> int:
-    # tie breaks toward class 0
-    return 1 if counts[1] > counts[0] else 0
+    def label(self) -> int:
+        """The majority of the seed plus own counts, ties going to class 0;
+        ``fallback`` when both are empty."""
+        s0, s1 = self.seed_counts
+        c0, c1 = self.counts
+        n0 = s0 + c0
+        n1 = s1 + c1
+        if n0 or n1:
+            return 1 if n1 > n0 else 0
+        return self.fallback
 
 
 def _entropy(counts: list[int]) -> float:
@@ -222,7 +226,6 @@ class HoeffdingTree:
                                  "of a pre-rooted tree")
             root = _Node(free)
             root.split_attribute = root_attribute
-            root.frozen_counts = [0, 0]
             free = tuple(a for a in free if a != root_attribute)
             root.children = [_Node(free, row=table.alloc()),
                              _Node(free, row=table.alloc())]
@@ -241,38 +244,18 @@ class HoeffdingTree:
             node = node.children[x[node.split_attribute]]
         return node
 
-    def _leaf_label(self, leaf: _Node, x) -> int:
-        """Class of ``leaf``, which ``x`` reaches: the majority of its seed
-        plus own counts, else that of the deepest ancestor that had seen data
-        when it split, else 0."""
-        s0, s1 = leaf.seed_counts
-        c0, c1 = leaf.counts
-        n0 = s0 + c0
-        n1 = s1 + c1
-        if n0 or n1:
-            return 1 if n1 > n0 else 0  # tie breaks toward class 0
-        label = 0
-        node = self.root
-        while node is not leaf:
-            if any(node.frozen_counts):
-                label = _majority(node.frozen_counts)
-            node = node.children[x[node.split_attribute]]
-        return label
-
     def _learn(self, leaf: _Node, entry: bytes, label: int) -> None:
         """Count the instance ``entry`` at ``leaf``, which it reaches; at a
         check, flush the pending instances into the leaf's row first."""
         leaf.counts[label] += 1
         leaf.pending.append(entry)
-        leaf.since_check += 1
-        if leaf.since_check >= self.check_interval:
+        if len(leaf.pending) >= self.check_interval:
             self.table.flush(leaf.row, leaf.pending)
             leaf.pending = []
-            leaf.since_check = 0
             self._maybe_split(leaf)
 
     def classify(self, features: np.ndarray) -> int:
-        return self._leaf_label(self._route(features), features)
+        return self._route(features).label()
 
     def train(self, features: np.ndarray, label: int) -> None:
         """Learn one instance; ``features`` holds one 0/1 byte per attribute
@@ -309,47 +292,29 @@ class HoeffdingTree:
         self.table.release(leaf.row)
         leaf.row = None
         leaf.split_attribute = attr
-        leaf.frozen_counts = leaf.total_counts()
+        fallback = leaf.label()
         leaf.children = [_Node(free, seed_counts=seeds[v],
-                               row=self.table.alloc()) for v in (0, 1)]
+                               row=self.table.alloc(), fallback=fallback)
+                         for v in (0, 1)]
         self.node_count += 2
 
     def extract_paths(self) -> list[TreePath]:
-        """All root-to-leaf paths with the same class rule as :meth:`classify`."""
+        """All root-to-leaf paths, each with its leaf's :meth:`_Node.label`."""
         out: list[TreePath] = []
 
-        def walk(node: _Node, defined: int, ones: int,
-                 fallback: Optional[list[int]]) -> None:
+        def walk(node: _Node, defined: int, ones: int) -> None:
             if node.is_leaf:
-                totals = node.total_counts()
-                if any(totals):
-                    label = _majority(totals)
-                elif fallback is not None:
-                    label = _majority(fallback)
-                else:
-                    label = 0
-                out.append(TreePath(defined, ones, label))
+                out.append(TreePath(defined, ones, node.label()))
                 return
-            if any(node.frozen_counts):
-                fallback = node.frozen_counts
             a = node.split_attribute
-            walk(node.children[0], defined | (1 << a), ones, fallback)
-            walk(node.children[1], defined | (1 << a), ones | (1 << a), fallback)
+            walk(node.children[0], defined | (1 << a), ones)
+            walk(node.children[1], defined | (1 << a), ones | (1 << a))
 
-        walk(self.root, 0, 0, None)
+        walk(self.root, 0, 0)
         return out
 
     def leaf_count(self) -> int:
-        return sum(1 for _ in self._leaves())
-
-    def _leaves(self) -> Iterator[_Node]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                yield node
-            else:
-                stack.extend(node.children)
+        return len(self.extract_paths())
 
     def memory_bytes(self) -> int:
         return self.node_count * NODE_BYTES
@@ -360,8 +325,8 @@ class HoeffdingTree:
 
         def walk(node: _Node, indent: str) -> None:
             if node.is_leaf:
-                t = node.total_counts()
-                lines.append(f"{indent}leaf counts={t} -> {_majority(t)}")
+                t = [s + c for s, c in zip(node.seed_counts, node.counts)]
+                lines.append(f"{indent}leaf counts={t} -> {node.label()}")
                 return
             name = self.schema.attribute_names[node.split_attribute]
             for v in (0, 1):

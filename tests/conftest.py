@@ -41,7 +41,6 @@ def manual_tree(d: int, structure) -> HoeffdingTree:
             return node, 1
         attr, zero, one = spec
         node.split_attribute = attr
-        node.frozen_counts = [0, 0]
         free = tuple(a for a in free if a != attr)
         left, nl = build(zero, free)
         right, nr = build(one, free)

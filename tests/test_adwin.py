@@ -294,5 +294,21 @@ def test_window_accounting_holds_after_every_add(stream, delta, max_buckets):
     for bit in _bits(stream):
         det.add(bit)
         assert det.width == sum(len(row) << i for i, row in enumerate(det.rows))
-        assert det.total == sum(sum(row) for row in det.rows)
+        assert det.total == sum(_bucket_errors(det))
         assert 0 <= det.total <= det.width
+
+
+def _bucket_errors(det) -> list[int]:
+    """Error count of each bucket, oldest first: the errors up to its end
+    less those up to the previous end. Checks that each bucket of row i
+    spans 2**i positions and holds at most that many errors."""
+    out = []
+    end, errors = det._dropped, det._dropped_errors
+    for i in range(len(det.rows) - 1, -1, -1):
+        for new_end in reversed(det.rows[i]):  # oldest bucket first
+            assert new_end - end == 1 << i
+            new_errors = det._errors_at[new_end]
+            assert 0 <= new_errors - errors <= 1 << i
+            out.append(new_errors - errors)
+            end, errors = new_end, new_errors
+    return out

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (all_inputs, grow_random_tree, manual_tree,
                       oracle_split_choice, schema_of)
-from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget, hoeffding_bound
+from fct.hoeffding import (NODE_BYTES, HoeffdingTree, NodeBudget, _Node,
+                           hoeffding_bound)
 
 # sqrt(ln(1/0.01) / (2*32)), the bound after one check interval at the
 # default confidence
@@ -84,18 +85,129 @@ def test_forced_root_out_of_range():
         HoeffdingTree(schema_of(3), root_attribute=3)
 
 
+def _split_off_an_empty_leaf(counts):
+    """``manual_tree(4, (0, 1, 1))`` with its x1 == 1 leaf, which holds
+    ``counts`` all at x3 == 1, split on x3; returns the tree and the x3 == 0
+    child, whose seed and own counts are empty."""
+    tree = manual_tree(4, (0, 1, 1))
+    leaf = tree.root.children[1]
+    leaf.counts = list(counts)
+    leaf.row = tree.table.alloc()
+    tree.table.stats[leaf.row, 2, 1] = counts
+    tree._split(leaf, 2)
+    return tree, leaf.children[0]
+
+
+def _covering_label(tree, x) -> int:
+    mask = sum(1 << a for a in range(len(x)) if x[a])
+    covering = [p for p in tree.extract_paths()
+                if (mask & p.defined_mask) == p.ones_mask]
+    assert len(covering) == 1
+    return covering[0].label
+
+
 def test_empty_leaf_falls_back_to_ancestor_majority():
-    tree = manual_tree(4, (0, 1, (2, 0, 1)))
-    inner = tree.root.children[1]
-    inner.frozen_counts = [2, 9]
-    empty = inner.children[0]
-    empty.counts = [0, 0]
+    tree, empty = _split_off_an_empty_leaf([2, 9])
+    assert empty.seed_counts == [0, 0] and empty.counts == [0, 0]
     x = np.array([1, 0, 0, 0], dtype=np.uint8)
     assert tree.classify(x) == 1  # ancestor majority, not the default 0
     # the extracted path for that region must agree with classify
-    covering = [p for p in tree.extract_paths()
-                if not (p.ones_mask ^ ((1 << 0))) & p.defined_mask & 0b101]
-    assert any(p.label == 1 for p in covering)
+    assert _covering_label(tree, x) == 1
+    # an empty leaf that splits hands its own fallback down
+    empty.row = tree.table.alloc()
+    tree._split(empty, 1)
+    for x2 in (0, 1):
+        x = np.array([1, x2, 0, 0], dtype=np.uint8)
+        assert tree.classify(x) == _covering_label(tree, x) == 1
+
+
+def test_dump_prints_the_class_that_classify_answers():
+    tree, _ = _split_off_an_empty_leaf([2, 9])
+    assert tree.classify(np.array([1, 0, 0, 0], dtype=np.uint8)) == 1
+    assert tree.dump().splitlines() == [
+        "x1 == 0:",
+        "  leaf counts=[0, 1] -> 1",
+        "x1 == 1:",
+        "  x3 == 0:",
+        "    leaf counts=[0, 0] -> 1",  # the fallback, not class 0
+        "  x3 == 1:",
+        "    leaf counts=[2, 9] -> 1",
+    ]
+
+
+# class counts of a leaf, empty in about half of the draws
+_class_counts = st.one_of(st.just((0, 0)),
+                          st.tuples(st.integers(0, 3), st.integers(0, 3))
+                          ).map(list)
+
+
+@st.composite
+def _hand_built_trees(draw):
+    """A tree of at most 6 attributes with drawn shape, seed counts, own
+    counts and fallbacks at every node."""
+    d = draw(st.integers(min_value=1, max_value=6))
+
+    def build(free: tuple) -> _Node:
+        node = _Node(free, seed_counts=draw(_class_counts),
+                     fallback=draw(st.integers(0, 1)))
+        node.counts = draw(_class_counts)
+        if free and draw(st.booleans()):
+            node.split_attribute = draw(st.sampled_from(free))
+            rest = tuple(a for a in free if a != node.split_attribute)
+            node.children = [build(rest), build(rest)]
+        return node
+
+    tree = HoeffdingTree(schema_of(d))
+    tree.root = build(tuple(range(d)))
+    return tree
+
+
+def _dump_router(tree):
+    """Parse ``tree.dump()`` back into a function from an input to the
+    class printed at the leaf that the input reaches."""
+    lines = tree.dump().splitlines()
+    names = tree.schema.attribute_names
+    at = 0
+
+    def parse(indent: str):
+        nonlocal at
+        body = lines[at].removeprefix(indent)
+        at += 1
+        if body.startswith("leaf counts="):
+            return int(body.rsplit(" -> ", 1)[1])
+        name = body.removesuffix(" == 0:")
+        zero = parse(indent + "  ")
+        assert lines[at] == f"{indent}{name} == 1:"
+        at += 1
+        return names.index(name), zero, parse(indent + "  ")
+
+    node = parse("")
+    assert at == len(lines)
+
+    def route(x) -> int:
+        spec = node
+        while not isinstance(spec, int):
+            attr, zero, one = spec
+            spec = one if x[attr] else zero
+        return spec
+
+    return route
+
+
+@settings(max_examples=200)
+@given(_hand_built_trees())
+def test_one_class_rule_for_classify_paths_and_dump(tree):
+    """classify, the covering path of extract_paths and the class that dump
+    prints agree on every input, and follow the rule: the majority of the
+    leaf's seed plus own counts, ties to 0, else its fallback."""
+    route = _dump_router(tree)
+    for x in all_inputs(tree.schema.d):
+        leaf = tree._route(x)
+        n0, n1 = np.add(leaf.seed_counts, leaf.counts).tolist()
+        expected = int(n1 > n0) if n0 or n1 else leaf.fallback
+        assert tree.classify(x) == expected
+        assert _covering_label(tree, x) == expected
+        assert route(x) == expected
 
 
 def test_split_children_seeded_from_branch_statistics(rng):
@@ -132,14 +244,8 @@ def test_path_partition_invariant():
 def test_classify_matches_covering_path():
     for seed in (7, 29):
         tree = grow_random_tree(seed, d=7)
-        X = all_inputs(7)
-        for x in X:
-            mask = int(np.packbits(x[::-1], bitorder="little")[0]) if False else \
-                sum(1 << a for a in range(7) if x[a])
-            covering = [p for p in tree.extract_paths()
-                        if (mask & p.defined_mask) == p.ones_mask]
-            assert len(covering) == 1
-            assert tree.classify(x) == covering[0].label
+        for x in all_inputs(7):
+            assert tree.classify(x) == _covering_label(tree, x)
 
 
 def test_node_count_is_odd_and_tracks_leaves():
