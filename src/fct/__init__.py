@@ -21,10 +21,8 @@ from .stream import (
     Segment,
     binarize,
     file_stream,
-    hyperplane_stream,
-    rbf_stream,
     recurring_schedule,
-    sea_stream,
+    synthetic_stream,
 )
 
 __version__ = "0.1.0"
@@ -35,6 +33,6 @@ __all__ = [
     "Repository", "RepositoryEntry", "FourierSpectrum", "dft",
     "dft_from_paths", "inverse_classify", "spectra_equal",
     "Binarizer", "ConceptSchedule", "Instance", "InstanceStream", "Schema",
-    "Segment", "binarize", "file_stream", "hyperplane_stream", "rbf_stream",
-    "recurring_schedule", "sea_stream",
+    "Segment", "binarize", "file_stream", "recurring_schedule",
+    "synthetic_stream",
 ]

@@ -89,7 +89,6 @@ class RunReport:
     total_instances: int = 0
     scored_instances: int = 0
     overall_accuracy: float = math.nan  # a run that scores nothing has none
-    window_size: int = 1000
     windows: list[WindowRow] = field(default_factory=list)
     drift_positions: list[int] = field(default_factory=list)
     winner_switches: list[tuple[int, str, int]] = field(default_factory=list)
@@ -107,7 +106,6 @@ class FctState:
 
     def __init__(self, schema: Schema, config: FctConfig):
         self.config = config
-        self.schema = schema
         self.forest = Forest(schema)
         self.repository = Repository(capacity=config.repository_capacity)
         self.detector = AdwinDetector(delta=config.adwin_delta)
@@ -125,18 +123,16 @@ class FctState:
         entry = self.repository.find(self.winner.model_id)
         return inverse_classify(entry.spectrum, features)
 
-    def step(self, inst: Instance,
-             scored_hook=None) -> tuple[int, bool]:
+    def step(self, inst: Instance, scored_hook=None) -> int:
         """Predict now, score/train once the delayed label arrives.
 
-        Returns (prediction for this instance, whether drift fired while
-        absorbing a matured label this step). ``scored_hook(instance,
-        correct)`` is called for each matured instance.
+        Returns the prediction for this instance; a drift fired while
+        absorbing a matured label is recorded in ``drift_positions``.
+        ``scored_hook(instance, correct)`` is called for each matured instance.
         """
         pred = self.classify(inst.features)
         self.pending.append((inst, pred))
         self.seen += 1
-        drifted = False
         if len(self.pending) > self.config.label_delay:
             old, old_pred = self.pending.popleft()
             correct = old_pred == old.label
@@ -147,10 +143,9 @@ class FctState:
                 self.repository.observe(old)
             self.forest.train(old)
             if fired:
-                drifted = True
                 self.drift_positions.append(inst.index)
                 self.on_drift()
-        return pred, drifted
+        return pred
 
     def on_drift(self) -> None:
         """Re-select the winning model, first storing the best tree (fct mode)
@@ -189,12 +184,14 @@ def run(stream: Iterable[Instance], config: FctConfig,
     labels would mature after the stream ends are never scored. Memory and
     winner columns are sampled at each window boundary.
     """
+    if window_size < 1:
+        raise ConfigError("window", "must be >= 1")
     if schema is None:
         if not isinstance(stream, InstanceStream):
             raise ConfigError("schema", "required when the stream carries none")
         schema = stream.schema
     state = FctState(schema, config)
-    report = RunReport(window_size=window_size)
+    report = RunReport()
     if isinstance(stream, InstanceStream):
         report.truth_boundaries = stream.boundaries
 

@@ -35,7 +35,7 @@ from .spectrum import COEFF_BYTES, SPECTRUM_HEADER_BYTES
 
 log = logging.getLogger(__name__)
 
-DATASETS = ("sea", "rbf", "hyperplane", "file")
+DATASETS = (*stream.DATASETS, "file")
 
 # detections at most this far after a boundary count as true positives
 DRIFT_MATCH_HORIZON = 2000
@@ -102,38 +102,22 @@ def parse_segments(text: str) -> tuple[int, int, int]:
     return c, length, r
 
 
-def _concept_params(dataset: str, count: int) -> list[dict]:
-    if dataset == "sea":
-        pool = [{"threshold": t} for t in stream.SEA_THRESHOLDS]
-    elif dataset == "rbf":
-        pool = [{"centroid_count": k, "attribute_count": 10}
-                for k in stream.RBF_CENTROID_COUNTS]
-    elif dataset == "hyperplane":
-        pool = [{"drifting_attribute_count": k, "attribute_count": 10,
-                 "mag_change": 0.001}
-                for k in stream.HYPERPLANE_DRIFT_COUNTS]
-    else:
-        raise ConfigError("dataset", f"unknown dataset {dataset!r}")
-    if count > len(pool):
-        raise ConfigError(
-            "segments",
-            f"dataset {dataset} defines at most {len(pool)} distinct concepts")
-    return pool[:count]
-
-
 def build_stream(opts: dict) -> stream.InstanceStream:
     if opts["dataset"] == "file":
         if not opts["file"]:
             raise ConfigError("file", "required when dataset=file")
-        return stream.file_stream(
-            opts["file"], {"bits_per_attribute": opts["bits_per_attr"]})
+        return stream.file_stream(opts["file"],
+                                  bits_per_attribute=opts["bits_per_attr"])
     c, length, r = parse_segments(opts["segments"])
+    pool = stream.DATASETS[opts["dataset"]].concepts
+    if c > len(pool):
+        raise ConfigError(
+            "segments",
+            f"dataset {opts['dataset']} defines at most {len(pool)} distinct concepts")
     schedule = stream.recurring_schedule(
-        _concept_params(opts["dataset"], c), length, r,
-        noise_probability=opts["noise"], base_seed=opts["seed"])
-    maker = {"sea": stream.sea_stream, "rbf": stream.rbf_stream,
-             "hyperplane": stream.hyperplane_stream}[opts["dataset"]]
-    return maker(schedule, bits_per_attribute=opts["bits_per_attr"])
+        pool[:c], length, r, noise_probability=opts["noise"], base_seed=opts["seed"])
+    return stream.synthetic_stream(opts["dataset"], schedule,
+                                   bits_per_attribute=opts["bits_per_attr"])
 
 
 def build_config(opts: dict) -> driver.FctConfig:
@@ -142,8 +126,6 @@ def build_config(opts: dict) -> driver.FctConfig:
         raise ConfigError("noise", "must be in [0, 1]")
     if opts["bits_per_attr"] < 1:
         raise ConfigError("bits_per_attr", "must be >= 1")
-    if opts["window"] < 1:
-        raise ConfigError("window", "must be >= 1")
     return driver.FctConfig(
         energy_threshold=opts["energy"],
         winner_tie_margin=opts["tau"],

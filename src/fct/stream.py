@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -27,11 +27,6 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 DEFAULT_CALIBRATION_SIZE = 1000
-
-# Canonical per-concept parameter values for the three synthetic generators.
-SEA_THRESHOLDS = (8.0, 7.0, 9.0, 9.5)
-RBF_CENTROID_COUNTS = (5, 15, 25, 35)
-HYPERPLANE_DRIFT_COUNTS = (2, 4, 6, 8)
 
 
 @dataclass(frozen=True)
@@ -95,6 +90,8 @@ class ConceptSchedule:
             raise InvalidScheduleError("schedule has no segments")
         if not 0.0 <= self.noise_probability <= 1.0:
             raise InvalidScheduleError("noise probability must be in [0,1]")
+        if len({_attribute_count(s.params) for s in self.segments}) > 1:
+            raise InvalidScheduleError("segments disagree on 'attribute_count'")
 
     @property
     def total_length(self) -> int:
@@ -149,7 +146,6 @@ class Binarizer:
         self.input_names = list(input_names) if input_names else [
             f"f{i+1}" for i in range(len(bits))
         ]
-        self.output_width = sum(bits)
         # per attribute: None (passthrough) or (sorted thresholds, code -> bits)
         self._coders: list[Optional[tuple[list[float], list[tuple[int, ...]]]]] = [
             None if th is None else (
@@ -182,9 +178,6 @@ class Binarizer:
             else:
                 names.extend(f"{name}_b{k}" for k in range(b))
         return tuple(names)
-
-    def output_schema(self, class_labels=("class1", "class2")) -> Schema:
-        return Schema(self.output_names(), tuple(class_labels))
 
 
 def binarize(calibration: Sequence[Sequence[float]], bits_per_attribute: int = 1,
@@ -258,6 +251,11 @@ def _apply_noise(label: int, p: float, noise_rng: np.random.Generator) -> int:
     return label ^ 1 if noise_rng.random() < p else label
 
 
+def _attribute_count(params: dict) -> int:
+    """Feature width of an RBF or hyperplane segment; a schedule keeps one."""
+    return params.get("attribute_count", 10)
+
+
 def sea_raw(schedule: ConceptSchedule) -> RawIter:
     """Numeric SEA stream: 3 features uniform on [0,10]; label = f1+f2 > threshold."""
     p = schedule.noise_probability
@@ -279,15 +277,22 @@ def rbf_raw(schedule: ConceptSchedule) -> RawIter:
         k = seg.params.get("centroid_count")
         if k is None or k < 2:
             raise InvalidParamsError("rbf segment needs 'centroid_count' >= 2")
-        nd = seg.params.get("attribute_count", 10)
+        nd = _attribute_count(seg.params)
         rng, noise_rng = _segment_rngs(seg)
         centers = rng.uniform(0.0, 1.0, size=(k, nd))
         classes = rng.integers(0, 2, size=k)
         weights = rng.uniform(0.0, 1.0, size=k)
         weights = weights / weights.sum()
         spreads = rng.uniform(0.0, 1.0, size=k)
+        # rng.choice(k, p=weights) normalizes cdf = weights.cumsum() by its last
+        # value and answers searchsorted(cdf, rng.random(), side="right"); the
+        # same cdf, built once per segment, gives the same index from the same
+        # draw without re-checking the weights on every call
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
         for _ in range(seg.length):
-            c = rng.choice(k, p=weights)
+            c = bisect_right(cdf, rng.random())
             direction = rng.uniform(-1.0, 1.0, size=nd)
             norm = np.linalg.norm(direction)
             if norm == 0.0:
@@ -306,7 +311,7 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
     """
     p = schedule.noise_probability
     for seg in schedule.segments:
-        nd = seg.params.get("attribute_count", 10)
+        nd = _attribute_count(seg.params)
         k = seg.params.get("drifting_attribute_count")
         if k is None or k < 0 or k > nd:
             raise InvalidParamsError(
@@ -331,56 +336,57 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
                 directions[flips] *= -1.0
 
 
-def _binarized_stream(raw: RawIter, schedule: ConceptSchedule,
-                      bits_per_attribute: int, calibration_size: int,
-                      attribute_names: Optional[Sequence[str]] = None) -> InstanceStream:
+class Dataset(NamedTuple):
+    """A synthetic dataset: its raw generator and its pool of concept parameters."""
+
+    raw: Callable[[ConceptSchedule], RawIter]
+    concepts: tuple[dict, ...]
+
+
+# Every synthetic dataset; a recurring schedule cycles a prefix of the pool.
+DATASETS = {
+    "sea": Dataset(sea_raw, tuple({"threshold": t} for t in (8.0, 7.0, 9.0, 9.5))),
+    "rbf": Dataset(rbf_raw, tuple({"centroid_count": k, "attribute_count": 10}
+                                  for k in (5, 15, 25, 35))),
+    "hyperplane": Dataset(hyperplane_raw, tuple(
+        {"drifting_attribute_count": k, "attribute_count": 10} for k in (2, 4, 6, 8))),
+}
+
+
+def _coded_stream(raw: RawIter, bits_per_attribute: int, calibration_size: int,
+                  boundaries: tuple[int, ...] = (),
+                  attribute_names: Optional[Sequence[str]] = None) -> InstanceStream:
+    """Fit a binarizer on the first ``calibration_size`` raw rows, read now,
+    and stream every row, those included, coded by it."""
     head = list(itertools.islice(raw, calibration_size))
     binz = binarize([r for r, _ in head], bits_per_attribute, attribute_names)
-    schema = binz.output_schema()
 
     def gen() -> Iterator[Instance]:
         for i, (row, label) in enumerate(itertools.chain(head, raw)):
             yield Instance(binz.transform_row(row), label, i)
 
-    return InstanceStream(schema, gen(), schedule.boundaries())
+    return InstanceStream(Schema(binz.output_names()), gen(), boundaries)
 
 
-def sea_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
-               calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
-    """Binarized SEA concepts stream."""
-    names = ("f1", "f2", "f3")
-    return _binarized_stream(sea_raw(schedule), schedule, bits_per_attribute,
-                             calibration_size, names)
-
-
-def rbf_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
-               calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
-    """Binarized RBF stream."""
-    nd = schedule.segments[0].params.get("attribute_count", 10)
-    names = tuple(f"f{i+1}" for i in range(nd))
-    return _binarized_stream(rbf_raw(schedule), schedule, bits_per_attribute,
-                             calibration_size, names)
-
-
-def hyperplane_stream(schedule: ConceptSchedule, bits_per_attribute: int = 1,
-                      calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
-    """Binarized rotating-hyperplane stream."""
-    nd = schedule.segments[0].params.get("attribute_count", 10)
-    names = tuple(f"f{i+1}" for i in range(nd))
-    return _binarized_stream(hyperplane_raw(schedule), schedule, bits_per_attribute,
-                             calibration_size, names)
+def synthetic_stream(dataset: str, schedule: ConceptSchedule,
+                     bits_per_attribute: int = 1,
+                     calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
+    """Binarized stream of ``DATASETS[dataset]``'s generator over ``schedule``;
+    attributes are named ``f1 .. fk``."""
+    return _coded_stream(DATASETS[dataset].raw(schedule), bits_per_attribute,
+                         calibration_size, schedule.boundaries())
 
 
 def _sniff_delimiter(header_line: str) -> str:
     return ";" if header_line.count(";") > header_line.count(",") else ","
 
 
-def _read_rows(path, delimiter: Optional[str]) -> Iterator[tuple[int, list[str]]]:
+def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
     with open(path, "r", newline="") as fh:
         first = fh.readline()
         if not first:
             raise UnsupportedDatasetError(f"{path}: empty file")
-        delim = delimiter or _sniff_delimiter(first)
+        delim = _sniff_delimiter(first)
         header = next(csv.reader([first], delimiter=delim))
         yield 1, header
         for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
@@ -388,20 +394,16 @@ def _read_rows(path, delimiter: Optional[str]) -> Iterator[tuple[int, list[str]]
                 yield lineno, row
 
 
-def file_stream(path, schema_hints: Optional[dict] = None) -> InstanceStream:
+def file_stream(path, bits_per_attribute: int = 1,
+                calibration_size: int = DEFAULT_CALIBRATION_SIZE) -> InstanceStream:
     """Stream a delimited text file (header row, last column = two-valued class).
 
-    Numeric attributes are quantile-binarized from a leading calibration
-    window. Class values map to {1, 0} in first-seen order; that mapping is
-    reported in the run log.
-
-    ``schema_hints`` keys: ``delimiter``, ``bits_per_attribute``,
-    ``calibration_size``.
+    The delimiter is ``;`` when the header holds more of them than commas,
+    else ``,``. Numeric attributes are quantile-binarized from a leading
+    calibration window. Class values map to {1, 0} in first-seen order; that
+    mapping is reported in the run log.
     """
-    hints = schema_hints or {}
-    bits = hints.get("bits_per_attribute", 1)
-    calibration_size = hints.get("calibration_size", DEFAULT_CALIBRATION_SIZE)
-    rows = _read_rows(path, hints.get("delimiter"))
+    rows = _read_rows(path)
     _, header = next(rows)
     if len(header) < 2:
         raise UnsupportedDatasetError(f"{path}: need at least one feature column")
@@ -430,25 +432,13 @@ def file_stream(path, schema_hints: Optional[dict] = None) -> InstanceStream:
                 log.info("class mapping for %s: %r -> 1, %r -> 0", path, inv[1], inv[0])
         return feats, class_map[cls]
 
-    head = [parse(lineno, row) for lineno, row in
-            itertools.islice(rows, calibration_size)]
-    if not head:
+    first = next(rows, None)
+    if first is None:
         raise UnsupportedDatasetError(f"{path}: no data rows")
-    binz = binarize([r for r, _ in head], bits, feature_names)
-
+    raw = itertools.starmap(parse, itertools.chain([first], rows))
+    coded = _coded_stream(raw, bits_per_attribute, calibration_size,
+                          attribute_names=feature_names)
+    # the calibration rows are read, so every class seen there is mapped
     labels = sorted(class_map, key=class_map.get, reverse=True)
-    while len(labels) < 2:
-        labels.append("class2")
-    schema = binz.output_schema(class_labels=(labels[0], labels[1]))
-
-    def gen() -> Iterator[Instance]:
-        i = 0
-        for row, label in head:
-            yield Instance(binz.transform_row(row), label, i)
-            i += 1
-        for lineno, row in rows:
-            feats, label = parse(lineno, row)
-            yield Instance(binz.transform_row(feats), label, i)
-            i += 1
-
-    return InstanceStream(schema, gen(), ())
+    coded.schema = replace(coded.schema, class_labels=(*labels, "class2")[:2])
+    return coded

@@ -50,6 +50,14 @@ def test_config_validation_names_the_cli_key(field, value, key):
     assert err.value.key == key
 
 
+@pytest.mark.parametrize("window", [0, -1])
+def test_run_rejects_a_window_below_one(window):
+    with pytest.raises(ConfigError) as err:
+        run(as_stream(constant_concept_instances(10)), FctConfig(),
+            window_size=window)
+    assert err.value.key == "window"
+
+
 def test_plain_iterable_requires_an_explicit_schema():
     with pytest.raises(ConfigError) as err:
         run(iter([]), FctConfig())

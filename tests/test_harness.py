@@ -112,6 +112,7 @@ def test_invalid_values_exit_2(tmp_path, capsys):
         assert "error: noise: " in capsys.readouterr().err
     assert run_cli(*small_run_args(out, segments="9x100x1")) == 2
     assert run_cli(*small_run_args(out, energy="0")) == 2
+    assert run_cli(*small_run_args(out, window="0")) == 2
     assert run_cli("run", "--dataset", "file", "--out", out) == 2
     assert run_cli("run", "--dataset", "file", "--file",
                    str(tmp_path / "nope.csv"), "--out", out) == 2

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from fct.errors import (InvalidParamsError, InvalidScheduleError,
                         RowParseError, UnsupportedDatasetError)
-from fct.stream import (Binarizer, ConceptSchedule, Schema, Segment, binarize,
-                        file_stream, hyperplane_stream, rbf_stream,
-                        recurring_schedule, sea_stream)
+from fct.stream import (DATASETS, Binarizer, ConceptSchedule, Schema, Segment,
+                        _segment_rngs, binarize, file_stream, rbf_raw,
+                        recurring_schedule, sea_raw, synthetic_stream)
 
 
 def test_schema_validation():
@@ -44,21 +44,21 @@ def test_schedule_validation():
 def test_sea_stream_is_deterministic():
     sched = recurring_schedule([{"threshold": 8.0}], 400, 1,
                                noise_probability=0.1, base_seed=5)
-    a = list(sea_stream(sched, bits_per_attribute=2))
-    b = list(sea_stream(sched, bits_per_attribute=2))
+    a = list(synthetic_stream("sea", sched, bits_per_attribute=2))
+    b = list(synthetic_stream("sea", sched, bits_per_attribute=2))
     assert len(a) == 400
     assert all(np.array_equal(x.features, y.features) and x.label == y.label
                for x, y in zip(a, b))
     other = recurring_schedule([{"threshold": 8.0}], 400, 1,
                                noise_probability=0.1, base_seed=6)
-    c = list(sea_stream(other, bits_per_attribute=2))
+    c = list(synthetic_stream("sea", other, bits_per_attribute=2))
     assert any(x.label != y.label for x, y in zip(a, c))
 
 
 def test_sea_label_rate_matches_geometry():
     # P(f1 + f2 > 8) over the unit-scaled square is 1 - 8^2/200 = 0.68
     sched = recurring_schedule([{"threshold": 8.0}], 20_000, 1, base_seed=1)
-    labels = [i.label for i in sea_stream(sched)]
+    labels = [i.label for i in synthetic_stream("sea", sched)]
     assert 0.66 < np.mean(labels) < 0.70
 
 
@@ -66,20 +66,20 @@ def test_sea_noise_flips_labels():
     base = recurring_schedule([{"threshold": 8.0}], 2_000, 1, base_seed=9)
     noisy = recurring_schedule([{"threshold": 8.0}], 2_000, 1,
                                noise_probability=1.0, base_seed=9)
-    clean = [i.label for i in sea_stream(base)]
-    flipped = [i.label for i in sea_stream(noisy)]
+    clean = [i.label for i in synthetic_stream("sea", base)]
+    flipped = [i.label for i in synthetic_stream("sea", noisy)]
     assert all(a == 1 - b for a, b in zip(clean, flipped))
 
 
 def test_sea_requires_threshold():
     sched = ConceptSchedule((Segment(0, {}, 10, 1),))
     with pytest.raises(InvalidParamsError):
-        list(sea_stream(sched))
+        list(synthetic_stream("sea", sched))
 
 
 def test_stream_carries_schema_and_boundaries():
     sched = recurring_schedule([{"threshold": 8.0}, {"threshold": 9.0}], 50, 1)
-    s = sea_stream(sched, bits_per_attribute=2, calibration_size=20)
+    s = synthetic_stream("sea", sched, bits_per_attribute=2, calibration_size=20)
     assert s.boundaries == (50,)
     assert s.schema.d == 6
     assert s.schema.attribute_names[:2] == ("f1_b0", "f1_b1")
@@ -199,7 +199,8 @@ def test_binarize_rejects_bad_input():
 def test_rbf_stream_smoke():
     sched = recurring_schedule([{"centroid_count": 6, "attribute_count": 4}],
                                1_500, 1, base_seed=3)
-    insts = list(rbf_stream(sched, bits_per_attribute=1, calibration_size=200))
+    insts = list(synthetic_stream("rbf", sched, bits_per_attribute=1,
+                                  calibration_size=200))
     assert len(insts) == 1_500
     labels = {i.label for i in insts}
     assert labels <= {0, 1} and len(labels) == 2
@@ -209,15 +210,70 @@ def test_rbf_stream_smoke():
 def test_rbf_requires_centroids():
     sched = ConceptSchedule((Segment(0, {"centroid_count": 1}, 10, 1),))
     with pytest.raises(InvalidParamsError):
-        list(rbf_stream(sched))
+        list(synthetic_stream("rbf", sched))
+
+
+def rbf_raw_with_choice(schedule):
+    """Oracle: ``rbf_raw`` drawing each centroid with ``rng.choice``."""
+    for seg in schedule.segments:
+        k, nd = seg.params["centroid_count"], seg.params["attribute_count"]
+        rng, noise_rng = _segment_rngs(seg)
+        centers = rng.uniform(0.0, 1.0, size=(k, nd))
+        classes = rng.integers(0, 2, size=k)
+        weights = rng.uniform(0.0, 1.0, size=k)
+        weights = weights / weights.sum()
+        spreads = rng.uniform(0.0, 1.0, size=k)
+        for _ in range(seg.length):
+            c = rng.choice(k, p=weights)
+            direction = rng.uniform(-1.0, 1.0, size=nd)
+            norm = np.linalg.norm(direction) or 1.0
+            row = centers[c] + direction * (rng.normal(0.0, 1.0) * spreads[c] / norm)
+            label = int(classes[c])
+            flip = noise_rng.random() < schedule.noise_probability
+            yield row, label ^ flip
+
+
+def test_rbf_centroid_draw_equals_rng_choice():
+    # equal seeds give equal centroids, so equal rows, with the other draws of
+    # each instance interleaved between two centroid draws
+    sched = recurring_schedule(
+        [{"centroid_count": k, "attribute_count": 3} for k in (2, 5, 35)],
+        2_000, 2, noise_probability=0.1, base_seed=4)
+    got = list(rbf_raw(sched))
+    want = list(rbf_raw_with_choice(sched))
+    assert len(got) == len(want) == 12_000
+    for (row, label), (want_row, want_label) in zip(got, want):
+        assert row.tolist() == want_row.tolist() and label == want_label
+
+
+@pytest.mark.parametrize("widths", [(4, 6), (6, 4)])
+def test_schedule_rejects_segments_of_different_widths(widths):
+    segments = tuple(Segment(i, {"centroid_count": 3, "attribute_count": w}, 10, i)
+                     for i, w in enumerate(widths))
+    with pytest.raises(InvalidScheduleError):
+        ConceptSchedule(segments)
+    # an unset width is the generators' default, 10
+    with pytest.raises(InvalidScheduleError):
+        ConceptSchedule((segments[0], Segment(1, {"centroid_count": 3}, 10, 1)))
+    ConceptSchedule((Segment(0, {"attribute_count": 10}, 10, 0),
+                     Segment(1, {}, 10, 1)))
+
+
+def test_every_dataset_streams_its_whole_pool_with_default_names():
+    for name, dataset in DATASETS.items():
+        sched = recurring_schedule(dataset.concepts, 50, 1, base_seed=2)
+        width = len(next(dataset.raw(sched))[0])
+        s = synthetic_stream(name, sched, calibration_size=40)
+        assert s.schema.attribute_names == tuple(f"f{i+1}" for i in range(width))
+        assert len(list(s)) == 50 * len(dataset.concepts)
 
 
 def test_hyperplane_stream_fixed_weights_are_separable():
     sched = ConceptSchedule((Segment(
         0, {"attribute_count": 3, "drifting_attribute_count": 0,
             "weights": [5.0, 1.0, 1.0]}, 3_000, 11),))
-    insts = list(hyperplane_stream(sched, bits_per_attribute=1,
-                                   calibration_size=500))
+    insts = list(synthetic_stream("hyperplane", sched, bits_per_attribute=1,
+                                  calibration_size=500))
     # the heavy first weight decides most labels; its median bit must correlate
     hits = sum(1 for i in insts if i.label == i.features[0])
     assert hits / len(insts) > 0.8
@@ -226,12 +282,12 @@ def test_hyperplane_stream_fixed_weights_are_separable():
 def test_hyperplane_validation():
     sched = ConceptSchedule((Segment(0, {"drifting_attribute_count": 99}, 10, 1),))
     with pytest.raises(InvalidParamsError):
-        list(hyperplane_stream(sched))
+        list(synthetic_stream("hyperplane", sched))
     bad = ConceptSchedule((Segment(
         0, {"attribute_count": 3, "drifting_attribute_count": 0,
             "weights": [1.0]}, 10, 1),))
     with pytest.raises(InvalidParamsError):
-        list(hyperplane_stream(bad))
+        list(synthetic_stream("hyperplane", bad))
 
 
 def _write(tmp_path, name, text):
@@ -247,7 +303,7 @@ def test_file_stream_basic(tmp_path):
                "2.0,20.0,no\n"
                "3.0,30.0,yes\n"
                "4.0,40.0,no\n")
-    s = file_stream(p, {"calibration_size": 4, "bits_per_attribute": 1})
+    s = file_stream(p, calibration_size=4, bits_per_attribute=1)
     insts = list(s)
     assert len(insts) == 4
     assert s.schema.class_labels == ("yes", "no")  # first seen -> 1
@@ -258,33 +314,33 @@ def test_file_stream_basic(tmp_path):
 def test_file_stream_semicolons(tmp_path):
     p = _write(tmp_path, "toy.csv",
                "a;b;label\n1.0;2.0;x\n3.0;4.0;y\n")
-    insts = list(file_stream(p, {"calibration_size": 2}))
+    insts = list(file_stream(p, calibration_size=2))
     assert [i.label for i in insts] == [1, 0]
 
 
 def test_file_stream_row_errors(tmp_path):
     p = _write(tmp_path, "ragged.csv", "a,label\n1.0,x\n1.0\n")
     with pytest.raises(RowParseError) as err:
-        list(file_stream(p, {"calibration_size": 10}))
+        list(file_stream(p, calibration_size=10))
     assert err.value.line_number == 3
 
     p2 = _write(tmp_path, "nonnum.csv", "a,label\n1.0,x\nfoo,x\n")
     with pytest.raises(RowParseError):
-        list(file_stream(p2, {"calibration_size": 10}))
+        list(file_stream(p2, calibration_size=10))
 
     # non-finite values are refused inside and after the calibration window
     for i, bad in enumerate(("nan", "inf", "-inf")):
         p3 = _write(tmp_path, f"nonfinite{i}.csv", f"a,label\n1.0,x\n{bad},y\n")
         for calibration_size in (10, 1):
             with pytest.raises(RowParseError) as err:
-                list(file_stream(p3, {"calibration_size": calibration_size}))
+                list(file_stream(p3, calibration_size=calibration_size))
             assert err.value.line_number == 3
 
 
 def test_file_stream_rejects_three_classes(tmp_path):
     p = _write(tmp_path, "tri.csv", "a,label\n1,x\n2,y\n3,z\n")
     with pytest.raises(UnsupportedDatasetError):
-        list(file_stream(p, {"calibration_size": 5}))
+        list(file_stream(p, calibration_size=5))
 
 
 def test_file_stream_rejects_empty(tmp_path):
@@ -292,5 +348,32 @@ def test_file_stream_rejects_empty(tmp_path):
     with pytest.raises(UnsupportedDatasetError):
         file_stream(p)
     p2 = _write(tmp_path, "headeronly.csv", "a,label\n")
-    with pytest.raises(UnsupportedDatasetError):
-        file_stream(p2)
+    for bits in (1, 0):
+        with pytest.raises(UnsupportedDatasetError,
+                           match="headeronly.csv: no data rows"):
+            file_stream(p2, bits_per_attribute=bits)
+    # with rows to fit on, a bad bit width is the binarizer's error
+    p3 = _write(tmp_path, "onerow.csv", "a,label\n1.0,x\n")
+    with pytest.raises(InvalidParamsError):
+        file_stream(p3, bits_per_attribute=0)
+
+
+def test_file_and_synthetic_sources_code_rows_alike(tmp_path):
+    # the same raw SEA rows, read back from a csv, give the same stream
+    sched = recurring_schedule([{"threshold": 8.0}, {"threshold": 9.5}], 300, 1,
+                               noise_probability=0.1, base_seed=8)
+    p = tmp_path / "sea.csv"
+    with open(p, "w") as fh:
+        fh.write("f1,f2,f3,label\n")
+        for row, label in sea_raw(sched):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    synthetic = synthetic_stream("sea", sched, bits_per_attribute=2,
+                                 calibration_size=250)
+    from_file = file_stream(p, bits_per_attribute=2, calibration_size=250)
+    assert from_file.schema.attribute_names == synthetic.schema.attribute_names
+    a, b = list(synthetic), list(from_file)
+    assert len(a) == len(b) == 600
+    class_map = {a[0].label: 1, 1 - a[0].label: 0}  # first seen -> 1
+    for x, y in zip(a, b):
+        assert x.features.tolist() == y.features.tolist()
+        assert class_map[x.label] == y.label and x.index == y.index
