@@ -181,8 +181,9 @@ def run(stream: Iterable[Instance], config: FctConfig,
     Windows are fixed blocks of arrival positions. A scoring event (a label
     maturing) is attributed to the window of the position at which it was
     scored, so every row is final when its boundary passes. Predictions whose
-    labels would mature after the stream ends are never scored. Memory and
-    winner columns are sampled at each window boundary.
+    labels would mature after the stream ends are never scored. Accuracies
+    are ``nan`` until they have a scored label. Memory and winner columns
+    are sampled at each window boundary.
     """
     if window_size < 1:
         raise ConfigError("window", "must be >= 1")
@@ -211,9 +212,9 @@ def run(stream: Iterable[Instance], config: FctConfig,
         nonlocal win_hits, win_count
         report.windows.append(WindowRow(
             window_end=end,
-            windowed_acc=win_hits / win_count if win_count else 0.0,
+            windowed_acc=win_hits / win_count if win_count else math.nan,
             overall_acc=total_hits / report.scored_instances
-            if report.scored_instances else 0.0,
+            if report.scored_instances else math.nan,
             forest_bytes=state.forest.memory_bytes(),
             repo_bytes=state.repository.memory_bytes(),
             winner_source=state.winner.source,

@@ -3,8 +3,8 @@
 One tree per (selected) attribute, each forced to split on its attribute at
 the root so the pool covers diverse first splits. All trees share a node
 budget; when it is exhausted the trees keep classifying but stop growing.
-They also share one leaf table; training on an instance routes each tree
-once and hands every tree's leaf the same pending entry.
+Training on an instance routes each tree once and hands every tree's leaf
+the same pending entry.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from collections import deque
 import numpy as np
 
 from .errors import NotReadyError
-from .hoeffding import (NODE_BYTES, HoeffdingTree, LeafTable, NodeBudget,
-                        pending_entry)
+from .hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget, pending_entry
 from .stream import Instance, Schema
 
 # Documented cost-model constant: fixed accounting size of one model's
@@ -112,14 +111,11 @@ class Forest:
         self.schema = schema
         self.root_attributes = list(range(n_trees))
         self.budget = NodeBudget(max_node_count)
-        # two leaves per pre-rooted tree; the table doubles as trees grow
-        self.table = LeafTable(d, rows=2 * n_trees)
         self.trees = [
             HoeffdingTree(schema, split_confidence=split_confidence,
                           tie_threshold=tie_threshold,
                           check_interval=check_interval,
-                          root_attribute=a, budget=self.budget,
-                          table=self.table)
+                          root_attribute=a, budget=self.budget)
             for a in self.root_attributes
         ]
         self.scores = Scoreboard(eval_window, n_trees)

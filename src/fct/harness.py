@@ -126,6 +126,8 @@ def build_config(opts: dict) -> driver.FctConfig:
         raise ConfigError("noise", "must be in [0, 1]")
     if opts["bits_per_attr"] < 1:
         raise ConfigError("bits_per_attr", "must be >= 1")
+    if opts["seed"] < 0:
+        raise ConfigError("seed", "must be >= 0")
     return driver.FctConfig(
         energy_threshold=opts["energy"],
         winner_tie_margin=opts["tau"],
@@ -295,16 +297,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             run_sweep(opts, ns.parameter, ns.values)
             print(f"sweep complete: {os.path.join(opts['out'], 'sweep.csv')}")
     except (ConfigError, InvalidParamsError, InvalidScheduleError,
-            UnsupportedDatasetError) as e:
+            UnsupportedDatasetError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FctError as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (FctError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 1
     return 0

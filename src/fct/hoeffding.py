@@ -3,11 +3,12 @@
 Leaves accumulate per-attribute class counts and are split once an
 information-gain lead clears the Hoeffding bound (or the bound is small
 enough to call it a tie). Trees can be pre-rooted on a chosen attribute so a
-forest can pin one tree per attribute. The per-attribute counts of every leaf
-are rows of one :class:`LeafTable`, which a forest shares between its trees.
+forest can pin one tree per attribute. Each leaf holds its per-attribute
+class counts, ``stats[a, v, c]``: the instances with attribute a == v and
+class c. A node that splits gives its counts up.
 
 Training an instance is plain Python: the leaf's class counts go up by one
-and the instance joins the leaf's pending list. A leaf's row of the table is
+and the instance joins the leaf's pending list. A leaf's ``stats`` are
 current only at a split check, every ``check_interval`` arrivals, when the
 pending instances are added in one step. So at most ``check_interval - 1``
 instances wait per leaf, and a split leaf has always just been flushed.
@@ -98,71 +99,34 @@ class NodeBudget:
         return True
 
 
-class LeafTable:
-    """Per-attribute class counts of many leaves, one row per leaf.
-
-    ``stats[row, a, v, c]`` counts the flushed instances of the leaf holding
-    ``row`` with attribute a == v and class c. A split leaf's row is zeroed
-    and reused; when no row is free the table doubles.
-    """
-
-    def __init__(self, d: int, rows: int = 4):
-        self.stats = np.zeros((rows, d, 2, 2), dtype=np.int64)
-        self.free_rows = list(range(rows - 1, -1, -1))  # pop() takes the lowest
-        # flat index of stats[row, a, v, c] within a row is 4a + 2v + c
-        self._attr_offsets = 4 * np.arange(d, dtype=np.int64)
-
-    def alloc(self) -> int:
-        if not self.free_rows:
-            n = len(self.stats)
-            # a large np.zeros block is mapped lazily, so the new half costs
-            # no resident memory until rows there are first written
-            grown = np.zeros((2 * n,) + self.stats.shape[1:], dtype=np.int64)
-            grown[:n] = self.stats
-            self.stats = grown
-            self.free_rows = list(range(2 * n - 1, n - 1, -1))
-        return self.free_rows.pop()
-
-    def release(self, row: int) -> None:
-        self.stats[row] = 0
-        self.free_rows.append(row)
-
-    def flush(self, row: Optional[int], pending: list[bytes]) -> None:
-        """Count the :func:`pending_entry` instances of ``pending`` at ``row``."""
-        if row is None:
-            raise ValueError("leaf has no row in the leaf table")
-        d = len(self._attr_offsets)
-        codes = np.frombuffer(b"".join(pending), dtype=np.uint8)
-        idx = codes.reshape(len(pending), d) + self._attr_offsets
-        self.stats[row] += np.bincount(idx.ravel(), minlength=4 * d).reshape(d, 2, 2)
-
-    def entropy_sums(self, row: int) -> np.ndarray:
-        """``S_a = sum_v (L(n_av) - (L(n_av0) + L(n_av1)))`` with
-        ``L(x) = x log2 x`` for every attribute a at ``row``; swapping an
-        attribute's values or its classes leaves its ``S_a`` bit-equal."""
-        d = len(self._attr_offsets)
-        counts = (_COUNT_ROWS @ self.stats[row].reshape(d, 4).T).astype(float)
-        logs = counts * np.log2(np.maximum(counts, 1.0))
-        per_value, class0, class1 = logs.reshape(3, 2, d)
-        t0, t1 = per_value - (class0 + class1)
-        return t0 + t1
+def entropy_sums(stats: np.ndarray) -> np.ndarray:
+    """``S_a = sum_v (L(n_av) - (L(n_av0) + L(n_av1)))`` with
+    ``L(x) = x log2 x`` for every attribute a of a leaf's (d, 2, 2)
+    ``stats``; swapping an attribute's values or its classes leaves its
+    ``S_a`` bit-equal."""
+    d = len(stats)
+    counts = (_COUNT_ROWS @ stats.reshape(d, 4).T).astype(float)
+    logs = counts * np.log2(np.maximum(counts, 1.0))
+    per_value, class0, class1 = logs.reshape(3, 2, d)
+    t0, t1 = per_value - (class0 + class1)
+    return t0 + t1
 
 
 class _Node:
     __slots__ = ("split_attribute", "children", "seed_counts", "counts",
-                 "fallback", "row", "pending", "free")
+                 "fallback", "stats", "pending", "free")
 
     def __init__(self, free: tuple[int, ...],
                  seed_counts: Optional[list[int]] = None,
-                 row: Optional[int] = None, fallback: int = 0):
+                 stats: Optional[np.ndarray] = None, fallback: int = 0):
         self.split_attribute: Optional[int] = None
         self.children: Optional[list[_Node]] = None
         # class counts as plain ints: inherited at the split, and own
         self.seed_counts = seed_counts if seed_counts is not None else [0, 0]
         self.counts = [0, 0]
         self.fallback = fallback  # the class while both counts are empty
-        self.row = row  # the leaf's row of its tree's LeafTable
-        self.pending: list[bytes] = []  # instances not yet in the row
+        self.stats = stats  # a leaf's flushed (d, 2, 2) counts; None once split
+        self.pending: list[bytes] = []  # instances not yet in ``stats``
         self.free = free  # attributes that the node may still split on
 
     @property
@@ -197,25 +161,19 @@ class HoeffdingTree:
     def __init__(self, schema: Schema, split_confidence: float = 0.99,
                  tie_threshold: float = 0.01, check_interval: int = 32,
                  root_attribute: Optional[int] = None,
-                 budget: Optional[NodeBudget] = None,
-                 table: Optional[LeafTable] = None):
-        """``table`` holds the leaf statistics; a tree without one makes its own."""
+                 budget: Optional[NodeBudget] = None):
         if not 0.0 < split_confidence < 1.0:
             raise ValueError("split_confidence must be in (0,1)")
         if check_interval < 1:
             raise ValueError("check_interval must be >= 1")
         d = schema.d
-        if table is None:
-            table = LeafTable(d)
-        elif table.stats.shape[1] != d:
-            raise ValueError(f"leaf table has {table.stats.shape[1]} "
-                             f"attributes, schema has {d}")
         self.schema = schema
         self.delta = 1.0 - split_confidence
         self.tie_threshold = tie_threshold
         self.check_interval = check_interval
         self.budget = budget if budget is not None else NodeBudget(None)
-        self.table = table
+        # flat index of stats[a, v, c] is 4a + 2v + c
+        self._attr_offsets = 4 * np.arange(d, dtype=np.int64)
         free = tuple(range(d))
         if root_attribute is not None:
             if not 0 <= root_attribute < d:
@@ -227,15 +185,19 @@ class HoeffdingTree:
             root = _Node(free)
             root.split_attribute = root_attribute
             free = tuple(a for a in free if a != root_attribute)
-            root.children = [_Node(free, row=table.alloc()),
-                             _Node(free, row=table.alloc())]
+            root.children = [_Node(free, stats=self._zeros()),
+                             _Node(free, stats=self._zeros())]
             self.root = root
             self.node_count = 3
         else:
             if not self.budget.try_claim(1):
                 raise ValueError("node budget cannot hold the root")
-            self.root = _Node(free, row=table.alloc())
+            self.root = _Node(free, stats=self._zeros())
             self.node_count = 1
+
+    def _zeros(self) -> np.ndarray:
+        """Empty counts for a new leaf."""
+        return np.zeros((len(self._attr_offsets), 2, 2), dtype=np.int64)
 
     def _route(self, x) -> _Node:
         """Leaf reached by the 0/1 feature sequence ``x``."""
@@ -246,11 +208,14 @@ class HoeffdingTree:
 
     def _learn(self, leaf: _Node, entry: bytes, label: int) -> None:
         """Count the instance ``entry`` at ``leaf``, which it reaches; at a
-        check, flush the pending instances into the leaf's row first."""
+        check, flush the pending instances into the leaf's stats first."""
         leaf.counts[label] += 1
         leaf.pending.append(entry)
         if len(leaf.pending) >= self.check_interval:
-            self.table.flush(leaf.row, leaf.pending)
+            codes = np.frombuffer(b"".join(leaf.pending), dtype=np.uint8)
+            idx = codes.reshape(len(leaf.pending), -1) + self._attr_offsets
+            leaf.stats += np.bincount(idx.ravel(), minlength=leaf.stats.size
+                                      ).reshape(leaf.stats.shape)
             leaf.pending = []
             self._maybe_split(leaf)
 
@@ -273,7 +238,7 @@ class HoeffdingTree:
     def _split_choice(self, leaf: _Node, n: int, eps: float) -> Optional[int]:
         """The attribute that the split rule picks at a leaf of n instances
         and bound ``eps``, or None; see the module docstring."""
-        s = self.table.entropy_sums(leaf.row)
+        s = entropy_sums(leaf.stats)
         low = sorted(map(s.tolist().__getitem__, leaf.free))
         best_gain = _entropy(leaf.counts) - low[0] / n
         lead = (low[1] - low[0]) / n if len(low) > 1 else best_gain
@@ -288,13 +253,12 @@ class HoeffdingTree:
         if not self.budget.try_claim(2):
             return
         free = tuple(a for a in leaf.free if a != attr)
-        seeds = self.table.stats[leaf.row, attr].tolist()
-        self.table.release(leaf.row)
-        leaf.row = None
+        seeds = leaf.stats[attr].tolist()
+        leaf.stats = None
         leaf.split_attribute = attr
         fallback = leaf.label()
         leaf.children = [_Node(free, seed_counts=seeds[v],
-                               row=self.table.alloc(), fallback=fallback)
+                               stats=self._zeros(), fallback=fallback)
                          for v in (0, 1)]
         self.node_count += 2
 

@@ -12,7 +12,7 @@ import csv
 import itertools
 import logging
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -31,21 +31,15 @@ DEFAULT_CALIBRATION_SIZE = 1000
 
 @dataclass(frozen=True)
 class Schema:
-    """Attribute layout of a binary instance stream.
-
-    ``class_labels[0]`` is encoded as label 1, ``class_labels[1]`` as label 0.
-    """
+    """Attribute layout of a binary instance stream."""
 
     attribute_names: tuple[str, ...]
-    class_labels: tuple[str, str] = ("class1", "class2")
 
     def __post_init__(self):
         if len(self.attribute_names) < 1:
             raise InvalidParamsError("schema needs at least one attribute")
         if len(set(self.attribute_names)) != len(self.attribute_names):
             raise InvalidParamsError("attribute names must be unique")
-        if len(self.class_labels) != 2:
-            raise InvalidParamsError("exactly two class labels required")
 
     @property
     def d(self) -> int:
@@ -436,9 +430,5 @@ def file_stream(path, bits_per_attribute: int = 1,
     if first is None:
         raise UnsupportedDatasetError(f"{path}: no data rows")
     raw = itertools.starmap(parse, itertools.chain([first], rows))
-    coded = _coded_stream(raw, bits_per_attribute, calibration_size,
-                          attribute_names=feature_names)
-    # the calibration rows are read, so every class seen there is mapped
-    labels = sorted(class_map, key=class_map.get, reverse=True)
-    coded.schema = replace(coded.schema, class_labels=(*labels, "class2")[:2])
-    return coded
+    return _coded_stream(raw, bits_per_attribute, calibration_size,
+                         attribute_names=feature_names)

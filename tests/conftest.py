@@ -18,7 +18,7 @@ settings.register_profile("repeatable", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("repeatable")
 
-from fct.hoeffding import HoeffdingTree, LeafTable, TreePath, _Node
+from fct.hoeffding import HoeffdingTree, TreePath, _Node
 from fct.stream import Schema
 
 
@@ -130,7 +130,7 @@ class EagerLeafCounts:
 
     The eager per-instance add that deferred leaf counts replaced, kept as
     their oracle. A leaf's (d, 2, 2) counts start at zero when the leaf is
-    made, as its row of the leaf table does.
+    made, as its own ``stats`` do.
     """
 
     def __init__(self, d: int):
@@ -151,13 +151,15 @@ class EagerLeafCounts:
         return self._stats[leaf]
 
 
-def flushed_row(tree: HoeffdingTree, leaf: _Node) -> np.ndarray:
-    """The counts that a split check of ``leaf`` would read now: its row of
-    the leaf table plus its pending instances. Changes neither."""
-    copy = LeafTable(tree.schema.d, rows=1)
-    copy.stats[0] = tree.table.stats[leaf.row]
-    copy.flush(0, leaf.pending)
-    return copy.stats[0]
+def flushed_stats(leaf: _Node) -> np.ndarray:
+    """The counts that a split check of ``leaf`` would read now: its stats
+    plus its pending instances, whose byte a is ``2v + c``, counted one by
+    one. Changes neither."""
+    stats = leaf.stats.copy()
+    for entry in leaf.pending:
+        for a, code in enumerate(entry):
+            stats[a, code >> 1, code & 1] += 1
+    return stats
 
 
 def _entropy(counts: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from fct.forest import ESTIMATOR_BYTES, Forest, Scoreboard
 from fct.hoeffding import NODE_BYTES, HoeffdingTree, NodeBudget
 from fct.stream import Instance
 
-from conftest import EagerLeafCounts, SlidingAccuracy, flushed_row, schema_of
+from conftest import EagerLeafCounts, SlidingAccuracy, flushed_stats, schema_of
 
 
 def _instances(features_rows, labels):
@@ -184,11 +184,11 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
                                                           check_interval):
     """Forest.train equals scoring then training each tree in turn.
 
-    The reference trees share a budget of the same size and each keeps its
-    own leaf table. With 24 nodes and checks every 4 labels, two trees ask
-    for the last free nodes at the same instance, so the second case also
-    checks that trees claim the budget in tree order. Table rows are compared
-    as a check would read them, with the leaf's pending instances added.
+    The reference trees share a node budget of the same size. With 24 nodes
+    and checks every 4 labels, two trees ask for the last free nodes at the
+    same instance, so the second case also checks that trees claim the
+    budget in tree order. Leaf counts are compared as a check would read
+    them, with the leaf's pending instances added.
     """
     d, n = 6, 3000
     rng = np.random.default_rng(21)
@@ -211,8 +211,6 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
 
     assert forest.total_node_count() > 3 * len(forest)  # the trees split
     assert forest.budget.used == budget.used
-    table = forest.table
-    assert len(table.stats) > 2 * len(forest)  # the table grew
     held = []
     for i, (ftree, tree) in enumerate(zip(forest.trees, trees)):
         assert ftree.extract_paths() == tree.extract_paths()
@@ -223,20 +221,17 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
             assert len(fnode.pending) < check_interval
             assert fnode.pending == node.pending
             if fnode.is_leaf:
-                stats = flushed_row(ftree, fnode)
-                assert (stats == flushed_row(tree, node)).all()
+                stats = flushed_stats(fnode)
+                assert (stats == flushed_stats(node)).all()
                 assert fnode.counts == node.counts
                 assert fnode.seed_counts == node.seed_counts
                 # per attribute, the two values split the leaf's class counts
                 assert (stats.sum(axis=1) == fnode.counts).all()
-                held.append(fnode.row)
+                held.append(id(fnode.stats))
             else:
-                assert fnode.row is None
+                assert fnode.stats is None
                 assert fnode.pending == []  # flushed at the check that split it
-    assert len(set(held)) == len(held)
-    assert not set(held) & set(table.free_rows)
-    assert len(held) + len(table.free_rows) == len(table.stats)
-    assert not table.stats[table.free_rows].any()
+    assert len(set(held)) == len(held)  # each leaf holds its own counts
 
 
 @settings(max_examples=60)
@@ -246,10 +241,10 @@ def test_forest_training_matches_trees_trained_one_by_one(max_node_count,
        st.integers(min_value=0, max_value=2**32 - 1))
 def test_deferred_leaf_counts_match_eager_counts_after_every_instance(
         d, check_interval, spare_splits, seed):
-    """Each leaf's row plus its pending instances equals the counts that an
+    """Each leaf's stats plus its pending instances equals the counts that an
     eager add per instance would hold, after every instance; no leaf holds a
     full check interval of pending instances, and a split leaf was flushed
-    before the split read its row. A budget of a few spare splits runs out
+    before the split read its stats. A budget of a few spare splits runs out
     in many of the streams, after which the trees stop growing."""
     n = 150
     rng = np.random.default_rng(seed)
@@ -267,10 +262,10 @@ def test_deferred_leaf_counts_match_eager_counts_after_every_instance(
             for node in _nodes(tree.root):
                 assert len(node.pending) < check_interval
                 if node.is_leaf:
-                    assert (flushed_row(tree, node) == eager.counts(node)).all()
+                    assert (flushed_stats(node) == eager.counts(node)).all()
                 else:
                     assert node.pending == []
-                    # the split read a flushed row: the children's seeds
+                    # the split read flushed stats: the children's seeds
                     # share out every instance that the leaf had counted,
                     # and a split node's own counts stop changing
                     zero, one = (child.seed_counts for child in node.children)

@@ -113,6 +113,7 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert run_cli(*small_run_args(out, segments="9x100x1")) == 2
     assert run_cli(*small_run_args(out, energy="0")) == 2
     assert run_cli(*small_run_args(out, window="0")) == 2
+    assert run_cli(*small_run_args(out, seed="-1")) == 2
     assert run_cli("run", "--dataset", "file", "--out", out) == 2
     assert run_cli("run", "--dataset", "file", "--file",
                    str(tmp_path / "nope.csv"), "--out", out) == 2
@@ -216,6 +217,14 @@ def test_sweep_rejects_nan_noise_before_the_first_run(tmp_path):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_negative_seed_before_the_first_run(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--parameter", "seed", "--values", "1,-1",
+                   *small_run_args(out)[1:])
+    assert code == 2
+    assert not (out / "seed=1").exists()
+
+
 def test_a_run_that_scores_nothing_reports_nan_accuracy(tmp_path, capsys):
     # every label would arrive after the stream ends
     args = small_run_args(tmp_path / "r", segments="1x10x1", delay="100")
@@ -224,9 +233,9 @@ def test_a_run_that_scores_nothing_reports_nan_accuracy(tmp_path, capsys):
     summary = (tmp_path / "r" / "summary.txt").read_text().splitlines()
     assert "scored_instances=0" in summary
     assert "overall_accuracy=nan" in summary
-    # the per-window rows keep their 0.0 for a window without labels
+    # a window without labels has no accuracy either
     rows = (tmp_path / "r" / "metrics.csv").read_text().splitlines()
-    assert rows[1].startswith("10,0.000000,0.000000,")
+    assert rows[1].startswith("10,nan,nan,")
 
     out = tmp_path / "sweep"
     assert run_cli("sweep", "--parameter", "seed", "--values", "1",

@@ -92,8 +92,8 @@ def _split_off_an_empty_leaf(counts):
     tree = manual_tree(4, (0, 1, 1))
     leaf = tree.root.children[1]
     leaf.counts = list(counts)
-    leaf.row = tree.table.alloc()
-    tree.table.stats[leaf.row, 2, 1] = counts
+    leaf.stats = np.zeros((4, 2, 2), dtype=np.int64)
+    leaf.stats[2, 1] = counts
     tree._split(leaf, 2)
     return tree, leaf.children[0]
 
@@ -114,7 +114,7 @@ def test_empty_leaf_falls_back_to_ancestor_majority():
     # the extracted path for that region must agree with classify
     assert _covering_label(tree, x) == 1
     # an empty leaf that splits hands its own fallback down
-    empty.row = tree.table.alloc()
+    empty.stats = np.zeros((4, 2, 2), dtype=np.int64)
     tree._split(empty, 1)
     for x2 in (0, 1):
         x = np.array([1, x2, 0, 0], dtype=np.uint8)
@@ -328,8 +328,8 @@ def _leaf_with_counts(d, tie_threshold, n, seed):
         free = (int(rng.integers(d)),)
     tree = HoeffdingTree(schema_of(d), tie_threshold=tie_threshold)
     leaf = tree.root
-    tree.table.stats[leaf.row, :, 1] = ones
-    tree.table.stats[leaf.row, :, 0] = class_counts - ones
+    leaf.stats[:, 1] = ones
+    leaf.stats[:, 0] = class_counts - ones
     leaf.counts = class_counts.tolist()
     leaf.free = free
     return tree, leaf
@@ -356,9 +356,8 @@ def test_split_choice_matches_the_probability_form_oracle(
     eps = hoeffding_bound(tree.delta, n)
     assert (eps < tie_threshold) == tie_regime
 
-    expected, lead = oracle_split_choice(tree.table.stats[leaf.row],
-                                         leaf.counts, leaf.free, eps,
-                                         tie_threshold)
+    expected, lead = oracle_split_choice(leaf.stats, leaf.counts, leaf.free,
+                                         eps, tie_threshold)
     if eps >= tie_threshold and abs(lead - eps) < 1e-9:
         return
     assert tree._split_choice(leaf, n, eps) == expected
