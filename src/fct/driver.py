@@ -25,7 +25,7 @@ from .adwin import AdwinDetector
 from .errors import ConfigError
 from .forest import Forest
 from .repository import Repository
-from .spectrum import dft, inverse_classify
+from .spectrum import FourierSpectrum, dft, inverse_classify
 from .stream import Instance, InstanceStream, Schema
 
 MODES = ("fct", "cbdt")
@@ -111,17 +111,18 @@ class FctState:
         self.detector = AdwinDetector(delta=config.adwin_delta)
         # before any evidence, tree 0 answers
         self.winner = WinnerRef("forest", 0)
+        # the winning entry's spectrum, or None while a tree wins; only
+        # on_drift evicts, and it stores only while a tree is the winner
+        self._winner_spectrum: Optional[FourierSpectrum] = None
         self.pending: deque[tuple[Instance, int]] = deque()
         self.drift_positions: list[int] = []
         self.winner_switches: list[tuple[int, str, int]] = []
         self.seen = 0
 
     def classify(self, features: np.ndarray) -> int:
-        if self.winner.source == "forest":
+        if self._winner_spectrum is None:
             return self.forest.classify(self.winner.model_id, features)
-        # only on_drift evicts, and it stores only while a tree is the winner
-        entry = self.repository.find(self.winner.model_id)
-        return inverse_classify(entry.spectrum, features)
+        return inverse_classify(self._winner_spectrum, features)
 
     def step(self, inst: Instance, scored_hook=None) -> int:
         """Predict now, score/train once the delayed label arrives.
@@ -162,9 +163,11 @@ class FctState:
             entry = best[1]
             entry.winner_tally += 1
             self._set_winner(WinnerRef("repository", entry.entry_id))
+            self._winner_spectrum = entry.spectrum
         else:
             # ties keep the forest answering
             self._set_winner(WinnerRef("forest", ti))
+            self._winner_spectrum = None
         # every drift restarts detection on the (possibly unchanged) winner
         self.detector = AdwinDetector(delta=self.config.adwin_delta)
 

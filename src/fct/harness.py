@@ -124,8 +124,9 @@ def build_config(opts: dict) -> driver.FctConfig:
     """The driver config of a full option set; checks every value once."""
     if not 0 <= opts["noise"] <= 1:  # NaN fails too
         raise ConfigError("noise", "must be in [0, 1]")
-    if opts["bits_per_attr"] < 1:
-        raise ConfigError("bits_per_attr", "must be >= 1")
+    if not 1 <= opts["bits_per_attr"] <= stream.MAX_BITS_PER_ATTRIBUTE:
+        raise ConfigError("bits_per_attr",
+                          f"must be in [1, {stream.MAX_BITS_PER_ATTRIBUTE}]")
     if opts["seed"] < 0:
         raise ConfigError("seed", "must be >= 0")
     return driver.FctConfig(

@@ -1,9 +1,15 @@
 """Labeled instance streams: synthetic recurrent-concept generators and file ingestion.
 
 All streams emit :class:`Instance` objects with *binary* feature vectors.
-Numeric sources (the synthetic generators, CSV files) are passed through an
-equal-frequency quantile :class:`Binarizer` fitted on a leading calibration
-window, so downstream learners only ever see bits.
+Numeric sources (the synthetic generators, CSV files) produce raw rows in
+blocks of at most ``BLOCK_ROWS`` rows: a float ``(n, k)`` array and a uint8
+``(n,)`` label array, never spanning two segments. An equal-frequency quantile
+:class:`Binarizer`, fitted on a leading calibration window, codes a whole
+block at once, so downstream learners only ever see bits.
+
+A generator draws a block's label noise as one ``noise_rng.random(n)`` and
+SEA draws its block's rows as one ``uniform`` call. numpy draws doubles in
+order, so a stream is the same as when it was drawn one row at a time.
 """
 
 from __future__ import annotations
@@ -11,7 +17,8 @@ from __future__ import annotations
 import csv
 import itertools
 import logging
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -27,6 +34,11 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 DEFAULT_CALIBRATION_SIZE = 1000
+# Most rows in one raw block; bounds the memory a long segment takes.
+BLOCK_ROWS = 4096
+# Widest numeric code; 1000 calibration rows cannot fill more than 10 bits,
+# and the coder's table has 2**bits rows.
+MAX_BITS_PER_ATTRIBUTE = 16
 
 
 @dataclass(frozen=True)
@@ -140,29 +152,38 @@ class Binarizer:
         self.input_names = list(input_names) if input_names else [
             f"f{i+1}" for i in range(len(bits))
         ]
-        # per attribute: None (passthrough) or (sorted thresholds, code -> bits)
-        self._coders: list[Optional[tuple[list[float], list[tuple[int, ...]]]]] = [
+        # per attribute: None (passthrough) or a (codes, b) uint8 table of the
+        # bits of each code, MSB first
+        self._tables: list[Optional[np.ndarray]] = [
             None if th is None else (
-                [float(t) for t in th],
-                [tuple((code >> (b - 1 - k)) & 1 for k in range(b))
-                 for code in range(len(th) + 1)],
-            )
+                (np.arange(len(th) + 1)[:, None] >> np.arange(b - 1, -1, -1)) & 1
+            ).astype(np.uint8)
             for th, b in zip(thresholds, bits)
         ]
+        self._width = sum(bits)
+
+    def transform(self, rows: np.ndarray) -> np.ndarray:
+        """Code a ``(n, k)`` block into ``(n, width)`` uint8 bits: each value
+        by the number of thresholds strictly below it
+        (``np.searchsorted(th, v, side="left")``); NaN sorts last, so it takes
+        the top code."""
+        rows = np.asarray(rows, dtype=float)
+        out = np.empty((rows.shape[0], self._width), dtype=np.uint8)
+        pos = 0
+        for a, (th, table) in enumerate(zip(self.thresholds, self._tables)):
+            col = rows[:, a]
+            if table is None:
+                out[:, pos] = col > 0.5
+                pos += 1
+            else:
+                out[:, pos:pos + table.shape[1]] = table[
+                    np.searchsorted(th, col, side="left")]
+                pos += table.shape[1]
+        return out
 
     def transform_row(self, row: Sequence[float]) -> np.ndarray:
-        """Code each value by the number of thresholds strictly below it
-        (``np.searchsorted(th, v, side="left")``); NaN takes the top code."""
-        values = row.tolist() if isinstance(row, np.ndarray) else row
-        out: list[int] = []
-        for a, coder in enumerate(self._coders):
-            v = values[a]
-            if coder is None:
-                out.append(1 if v > 0.5 else 0)
-                continue
-            th, table = coder
-            out.extend(table[len(th) if v != v else bisect_left(th, v)])
-        return np.array(out, dtype=np.uint8)
+        """:meth:`transform` of a one-row block."""
+        return self.transform(np.asarray(row, dtype=float)[None, :])[0]
 
     def output_names(self) -> tuple[str, ...]:
         names = []
@@ -184,8 +205,9 @@ def binarize(calibration: Sequence[Sequence[float]], bits_per_attribute: int = 1
     """
     if len(calibration) == 0:
         raise InvalidParamsError("calibration sample is empty")
-    if bits_per_attribute < 1:
-        raise InvalidParamsError("bits_per_attribute must be >= 1")
+    if not 1 <= bits_per_attribute <= MAX_BITS_PER_ATTRIBUTE:
+        raise InvalidParamsError(
+            f"bits_per_attribute must be in [1, {MAX_BITS_PER_ATTRIBUTE}]")
     data = np.asarray(calibration, dtype=float)
     if data.ndim != 2:
         raise InvalidParamsError("calibration rows must share one width")
@@ -228,7 +250,8 @@ class InstanceStream:
         return next(self._it)
 
 
-RawIter = Iterator[tuple[np.ndarray, int]]
+# (rows, labels) blocks: float (n, k) rows and uint8 (n,) labels
+RawIter = Iterator[tuple[np.ndarray, np.ndarray]]
 
 
 def _segment_rngs(segment: Segment) -> tuple[np.random.Generator, np.random.Generator]:
@@ -241,8 +264,10 @@ def _segment_rngs(segment: Segment) -> tuple[np.random.Generator, np.random.Gene
     return np.random.default_rng(concept_ss), np.random.default_rng(noise_ss)
 
 
-def _apply_noise(label: int, p: float, noise_rng: np.random.Generator) -> int:
-    return label ^ 1 if noise_rng.random() < p else label
+def _block_sizes(length: int) -> Iterator[int]:
+    """Row counts of the blocks of one segment."""
+    for start in range(0, length, BLOCK_ROWS):
+        yield min(BLOCK_ROWS, length - start)
 
 
 def _attribute_count(params: dict) -> int:
@@ -258,14 +283,17 @@ def sea_raw(schedule: ConceptSchedule) -> RawIter:
         if theta is None or theta <= 0:
             raise InvalidParamsError("sea segment needs a positive 'threshold'")
         rng, noise_rng = _segment_rngs(seg)
-        for _ in range(seg.length):
-            row = rng.uniform(0.0, 10.0, size=3)
-            label = 1 if row[0] + row[1] > theta else 0
-            yield row, _apply_noise(label, p, noise_rng)
+        for n in _block_sizes(seg.length):
+            rows = rng.uniform(0.0, 10.0, size=(n, 3))
+            labels = (rows[:, 0] + rows[:, 1] > theta) ^ (noise_rng.random(n) < p)
+            yield rows, labels.view(np.uint8)
 
 
 def rbf_raw(schedule: ConceptSchedule) -> RawIter:
-    """Numeric RBF stream: instances drawn around randomly placed class centroids."""
+    """Numeric RBF stream: instances drawn around randomly placed class centroids.
+
+    Rows are drawn one at a time, since each interleaves a centroid, a
+    direction and a normal draw on one generator."""
     p = schedule.noise_probability
     for seg in schedule.segments:
         k = seg.params.get("centroid_count")
@@ -274,7 +302,7 @@ def rbf_raw(schedule: ConceptSchedule) -> RawIter:
         nd = _attribute_count(seg.params)
         rng, noise_rng = _segment_rngs(seg)
         centers = rng.uniform(0.0, 1.0, size=(k, nd))
-        classes = rng.integers(0, 2, size=k)
+        classes = rng.integers(0, 2, size=k).astype(np.uint8)
         weights = rng.uniform(0.0, 1.0, size=k)
         weights = weights / weights.sum()
         spreads = rng.uniform(0.0, 1.0, size=k)
@@ -285,15 +313,19 @@ def rbf_raw(schedule: ConceptSchedule) -> RawIter:
         cdf = weights.cumsum()
         cdf /= cdf[-1]
         cdf = cdf.tolist()
-        for _ in range(seg.length):
-            c = bisect_right(cdf, rng.random())
-            direction = rng.uniform(-1.0, 1.0, size=nd)
-            norm = np.linalg.norm(direction)
-            if norm == 0.0:
-                norm = 1.0
-            magnitude = rng.normal(0.0, 1.0) * spreads[c]
-            row = centers[c] + direction * (magnitude / norm)
-            yield row, _apply_noise(int(classes[c]), p, noise_rng)
+        for n in _block_sizes(seg.length):
+            rows = np.empty((n, nd))
+            picks = np.empty(n, dtype=np.intp)
+            for i in range(n):
+                c = bisect_right(cdf, rng.random())
+                direction = rng.uniform(-1.0, 1.0, size=nd)
+                norm = np.linalg.norm(direction)
+                if norm == 0.0:
+                    norm = 1.0
+                magnitude = rng.normal(0.0, 1.0) * spreads[c]
+                rows[i] = centers[c] + direction * (magnitude / norm)
+                picks[i] = c
+            yield rows, classes[picks] ^ (noise_rng.random(n) < p)
 
 
 def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
@@ -302,6 +334,7 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
     Label is the side of sum(w_i x_i) > sum(w)/2; the first
     ``drifting_attribute_count`` weights move by ``mag_change`` per instance,
     each flipping direction with probability ``direction_change_prob``.
+    Rows are drawn one at a time, since the weights move after each.
     """
     p = schedule.noise_probability
     for seg in schedule.segments:
@@ -320,14 +353,18 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
         else:
             w = rng.uniform(0.0, 1.0, size=nd)
         directions = np.ones(k)
-        for _ in range(seg.length):
-            row = rng.uniform(0.0, 1.0, size=nd)
-            label = 1 if row @ w > 0.5 * w.sum() else 0
-            yield row, _apply_noise(label, p, noise_rng)
-            if k:
-                w[:k] += directions * mag
-                flips = rng.random(k) < sigma
-                directions[flips] *= -1.0
+        for n in _block_sizes(seg.length):
+            rows = np.empty((n, nd))
+            labels = np.empty(n, dtype=bool)
+            for i in range(n):
+                row = rng.uniform(0.0, 1.0, size=nd)
+                rows[i] = row
+                labels[i] = row @ w > 0.5 * w.sum()
+                if k:
+                    w[:k] += directions * mag
+                    flips = rng.random(k) < sigma
+                    directions[flips] *= -1.0
+            yield rows, (labels ^ (noise_rng.random(n) < p)).view(np.uint8)
 
 
 class Dataset(NamedTuple):
@@ -350,14 +387,24 @@ DATASETS = {
 def _coded_stream(raw: RawIter, bits_per_attribute: int, calibration_size: int,
                   boundaries: tuple[int, ...] = (),
                   attribute_names: Optional[Sequence[str]] = None) -> InstanceStream:
-    """Fit a binarizer on the first ``calibration_size`` raw rows, read now,
-    and stream every row, those included, coded by it."""
-    head = list(itertools.islice(raw, calibration_size))
-    binz = binarize([r for r, _ in head], bits_per_attribute, attribute_names)
+    """Fit a binarizer on the first ``calibration_size`` raw rows, read now
+    as whole blocks, and stream every row, those included, coded by it."""
+    head, held = [], 0
+    for block in raw:
+        head.append(block)
+        held += len(block[1])
+        if held >= calibration_size:
+            break
+    calibration = np.concatenate([r for r, _ in head]) if head else np.empty((0, 0))
+    binz = binarize(calibration[:calibration_size], bits_per_attribute,
+                    attribute_names)
 
     def gen() -> Iterator[Instance]:
-        for i, (row, label) in enumerate(itertools.chain(head, raw)):
-            yield Instance(binz.transform_row(row), label, i)
+        index = 0
+        for rows, labels in itertools.chain(head, raw):
+            for features, label in zip(binz.transform(rows), labels.tolist()):
+                yield Instance(features, label, index)
+                index += 1
 
     return InstanceStream(Schema(binz.output_names()), gen(), boundaries)
 
@@ -405,14 +452,14 @@ def file_stream(path, bits_per_attribute: int = 1,
 
     class_map: dict[str, int] = {}
 
-    def parse(lineno: int, row: list[str]) -> tuple[np.ndarray, int]:
+    def parse(lineno: int, row: list[str]) -> tuple[list[float], int]:
         if len(row) != len(header):
             raise RowParseError(lineno, f"expected {len(header)} fields, got {len(row)}")
         try:
-            feats = np.array([float(v) for v in row[:-1]])
+            feats = [float(v) for v in row[:-1]]
         except ValueError as e:
             raise RowParseError(lineno, str(e)) from None
-        if not np.isfinite(feats).all():
+        if not all(map(math.isfinite, feats)):
             raise RowParseError(lineno, "attribute values must be finite numbers")
         cls = row[-1].strip()
         if cls not in class_map:
@@ -429,6 +476,12 @@ def file_stream(path, bits_per_attribute: int = 1,
     first = next(rows, None)
     if first is None:
         raise UnsupportedDatasetError(f"{path}: no data rows")
-    raw = itertools.starmap(parse, itertools.chain([first], rows))
-    return _coded_stream(raw, bits_per_attribute, calibration_size,
+    parsed = itertools.starmap(parse, itertools.chain([first], rows))
+
+    def blocks() -> RawIter:
+        while chunk := list(itertools.islice(parsed, BLOCK_ROWS)):
+            feats, labels = zip(*chunk)
+            yield np.array(feats, dtype=float), np.array(labels, dtype=np.uint8)
+
+    return _coded_stream(blocks(), bits_per_attribute, calibration_size,
                          attribute_names=feature_names)

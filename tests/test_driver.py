@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fct.driver import FctConfig, FctState, run
 from fct.errors import ConfigError
+from fct.spectrum import inverse_classify
 from fct.stream import Instance, InstanceStream
 
 from conftest import schema_of
@@ -170,8 +171,14 @@ def test_repository_winner_is_never_evicted():
     repository_steps = 0
     for inst in insts:
         state.step(inst)
+        # the answer is the current winner's, looked up afresh
         if state.winner.source == "repository":
             repository_steps += 1
-            assert state.repository.find(state.winner.model_id) is not None
+            entry = state.repository.find(state.winner.model_id)
+            assert entry is not None
+            want = inverse_classify(entry.spectrum, inst.features)
+        else:
+            want = state.forest.classify(state.winner.model_id, inst.features)
+        assert state.classify(inst.features) == want
     assert repository_steps > 0
     assert state.repository.entries[0].entry_id >= 2  # at least two evictions

@@ -114,6 +114,9 @@ def test_invalid_values_exit_2(tmp_path, capsys):
     assert run_cli(*small_run_args(out, energy="0")) == 2
     assert run_cli(*small_run_args(out, window="0")) == 2
     assert run_cli(*small_run_args(out, seed="-1")) == 2
+    # wider codes cannot add a threshold over 1000 calibration rows
+    assert run_cli(*small_run_args(out, **{"bits-per-attr": "17"})) == 2
+    assert "error: bits_per_attr: " in capsys.readouterr().err
     assert run_cli("run", "--dataset", "file", "--out", out) == 2
     assert run_cli("run", "--dataset", "file", "--file",
                    str(tmp_path / "nope.csv"), "--out", out) == 2
@@ -223,6 +226,14 @@ def test_sweep_rejects_a_negative_seed_before_the_first_run(tmp_path):
                    *small_run_args(out)[1:])
     assert code == 2
     assert not (out / "seed=1").exists()
+
+
+def test_sweep_rejects_too_many_bits_before_the_first_run(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--parameter", "bits_per_attr", "--values", "3,17",
+                   *small_run_args(out)[1:])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_a_run_that_scores_nothing_reports_nan_accuracy(tmp_path, capsys):

@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fct.errors import (InvalidParamsError, InvalidScheduleError,
                         RowParseError, UnsupportedDatasetError)
-from fct.stream import (DATASETS, Binarizer, ConceptSchedule, Schema, Segment,
-                        _segment_rngs, binarize, file_stream, rbf_raw,
-                        recurring_schedule, sea_raw, synthetic_stream)
+from fct.stream import (BLOCK_ROWS, DATASETS, MAX_BITS_PER_ATTRIBUTE, Binarizer,
+                        ConceptSchedule, Schema, Segment, _segment_rngs,
+                        binarize, file_stream, rbf_raw, recurring_schedule,
+                        sea_raw, synthetic_stream)
 
 
 def test_schema_validation():
@@ -166,13 +167,26 @@ def test_transform_row_matches_searchsorted(binz, data):
         | st.floats(-2e6, 2e6, allow_nan=False)
         for th in binz.thresholds
     ]
-    for _ in range(5):
-        row = [data.draw(s) for s in per_attr]
+    rows = [[data.draw(s) for s in per_attr] for _ in range(5)]
+    for row in rows:
         want = searchsorted_row(binz, row)
         for given_row in (row, np.array(row)):
             got = binz.transform_row(given_row)
             assert got.dtype == np.uint8
             assert got.tolist() == want
+    # one block holding every special value and every exact threshold, coded
+    # by the fitted attributes plus a passthrough one
+    binz = Binarizer(binz.thresholds + [None], binz.bits + [1])
+    specials = [[v] * len(per_attr) for v in (np.nan, np.inf, -np.inf, 0.5)]
+    exact = [[float(th[j % len(th)]) if th is not None else 1.0
+              for th in binz.thresholds[:-1]]
+             for j in range(max([len(t) for t in binz.thresholds[:-1]
+                                 if t is not None], default=0))]
+    block = [row + [data.draw(st.sampled_from(specials[0] + [0.0, 1.0, 0.5]))]
+             for row in rows + specials + exact]
+    got = binz.transform(np.array(block))
+    assert got.dtype == np.uint8 and got.shape == (len(block), sum(binz.bits))
+    assert got.tolist() == [searchsorted_row(binz, row) for row in block]
 
 
 @settings(max_examples=60)
@@ -194,6 +208,11 @@ def test_binarize_rejects_bad_input():
         binarize([], bits_per_attribute=1)
     with pytest.raises(InvalidParamsError):
         binarize([[1.0]], bits_per_attribute=0)
+    with pytest.raises(InvalidParamsError):
+        binarize([[1.0]], bits_per_attribute=MAX_BITS_PER_ATTRIBUTE + 1)
+    widest = binarize([[2.5], [3.5]], MAX_BITS_PER_ATTRIBUTE)
+    assert len(widest.thresholds[0]) == 2 ** MAX_BITS_PER_ATTRIBUTE - 1
+    assert widest.transform_row([9.0]).tolist() == [1] * MAX_BITS_PER_ATTRIBUTE
 
 
 def test_rbf_stream_smoke():
@@ -213,8 +232,32 @@ def test_rbf_requires_centroids():
         list(synthetic_stream("rbf", sched))
 
 
+def rows_and_labels(blocks):
+    """Concatenated rows and labels of raw blocks, each block checked for
+    its shape and dtypes; returns float lists and int labels."""
+    rows, labels = [], []
+    for block_rows, block_labels in blocks:
+        n = len(block_labels)
+        assert 1 <= n <= BLOCK_ROWS and block_rows.shape[0] == n
+        assert block_rows.dtype == np.float64 and block_labels.dtype == np.uint8
+        rows.extend(block_rows.tolist())
+        labels.extend(block_labels.tolist())
+    return rows, labels
+
+
+def sea_raw_per_row(schedule):
+    """Oracle: ``sea_raw`` drawing one row and one noise value at a time."""
+    for seg in schedule.segments:
+        rng, noise_rng = _segment_rngs(seg)
+        for _ in range(seg.length):
+            row = rng.uniform(0.0, 10.0, size=3)
+            label = int(row[0] + row[1] > seg.params["threshold"])
+            yield row, label ^ int(noise_rng.random() < schedule.noise_probability)
+
+
 def rbf_raw_with_choice(schedule):
-    """Oracle: ``rbf_raw`` drawing each centroid with ``rng.choice``."""
+    """Oracle: ``rbf_raw`` one row at a time, drawing each centroid with
+    ``rng.choice``."""
     for seg in schedule.segments:
         k, nd = seg.params["centroid_count"], seg.params["attribute_count"]
         rng, noise_rng = _segment_rngs(seg)
@@ -230,7 +273,49 @@ def rbf_raw_with_choice(schedule):
             row = centers[c] + direction * (rng.normal(0.0, 1.0) * spreads[c] / norm)
             label = int(classes[c])
             flip = noise_rng.random() < schedule.noise_probability
-            yield row, label ^ flip
+            yield row, label ^ int(flip)
+
+
+def hyperplane_raw_per_row(schedule):
+    """Oracle: ``hyperplane_raw`` drawing one row and one noise value at a
+    time, with the default drift speed and random starting weights."""
+    for seg in schedule.segments:
+        nd, k = seg.params["attribute_count"], seg.params["drifting_attribute_count"]
+        rng, noise_rng = _segment_rngs(seg)
+        w = rng.uniform(0.0, 1.0, size=nd)
+        directions = np.ones(k)
+        for _ in range(seg.length):
+            row = rng.uniform(0.0, 1.0, size=nd)
+            label = int(row @ w > 0.5 * w.sum())
+            yield row, label ^ int(noise_rng.random() < schedule.noise_probability)
+            if k:
+                w[:k] += directions * 0.001
+                directions[rng.random(k) < 0.1] *= -1.0
+
+
+PER_ROW_ORACLES = {"sea": sea_raw_per_row, "rbf": rbf_raw_with_choice,
+                   "hyperplane": hyperplane_raw_per_row}
+
+
+@pytest.mark.parametrize("length", [1, BLOCK_ROWS, BLOCK_ROWS + 1])
+@pytest.mark.parametrize("noise", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_blocks_equal_the_per_row_draws(name, noise, length):
+    # numpy draws doubles in order, so one draw of n values per block equals
+    # n single draws, also where a segment splits into several blocks
+    recurrences = 3 if length == 1 else 1
+    sched = recurring_schedule(DATASETS[name].concepts[:2], length, recurrences,
+                               noise_probability=noise, base_seed=length)
+    blocks = list(DATASETS[name].raw(sched))
+    # no block spans two segments
+    per_segment = [[n] if n <= BLOCK_ROWS else [BLOCK_ROWS, n - BLOCK_ROWS]
+                   for n in (s.length for s in sched.segments)]
+    assert [len(labels) for _, labels in blocks] == [n for ns in per_segment
+                                                     for n in ns]
+    rows, labels = rows_and_labels(blocks)
+    want = list(PER_ROW_ORACLES[name](sched))
+    assert rows == [row.tolist() for row, _ in want]
+    assert labels == [label for _, label in want]
 
 
 def test_rbf_centroid_draw_equals_rng_choice():
@@ -239,11 +324,11 @@ def test_rbf_centroid_draw_equals_rng_choice():
     sched = recurring_schedule(
         [{"centroid_count": k, "attribute_count": 3} for k in (2, 5, 35)],
         2_000, 2, noise_probability=0.1, base_seed=4)
-    got = list(rbf_raw(sched))
+    rows, labels = rows_and_labels(rbf_raw(sched))
     want = list(rbf_raw_with_choice(sched))
-    assert len(got) == len(want) == 12_000
-    for (row, label), (want_row, want_label) in zip(got, want):
-        assert row.tolist() == want_row.tolist() and label == want_label
+    assert len(rows) == len(want) == 12_000
+    assert rows == [row.tolist() for row, _ in want]
+    assert labels == [label for _, label in want]
 
 
 @pytest.mark.parametrize("widths", [(4, 6), (6, 4)])
@@ -262,7 +347,7 @@ def test_schedule_rejects_segments_of_different_widths(widths):
 def test_every_dataset_streams_its_whole_pool_with_default_names():
     for name, dataset in DATASETS.items():
         sched = recurring_schedule(dataset.concepts, 50, 1, base_seed=2)
-        width = len(next(dataset.raw(sched))[0])
+        width = next(dataset.raw(sched))[0].shape[1]
         s = synthetic_stream(name, sched, calibration_size=40)
         assert s.schema.attribute_names == tuple(f"f{i+1}" for i in range(width))
         assert len(list(s)) == 50 * len(dataset.concepts)
@@ -367,8 +452,9 @@ def test_file_and_synthetic_sources_code_rows_alike(tmp_path):
     p = tmp_path / "sea.csv"
     with open(p, "w") as fh:
         fh.write("f1,f2,f3,label\n")
-        for row, label in sea_raw(sched):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+        for rows, labels in sea_raw(sched):
+            for row, label in zip(rows.tolist(), labels.tolist()):
+                fh.write(",".join(map(repr, row)) + f",{label}\n")
     synthetic = synthetic_stream("sea", sched, bits_per_attribute=2,
                                  calibration_size=250)
     from_file = file_stream(p, bits_per_attribute=2, calibration_size=250)
@@ -379,3 +465,25 @@ def test_file_and_synthetic_sources_code_rows_alike(tmp_path):
     for x, y in zip(a, b):
         assert x.features.tolist() == y.features.tolist()
         assert class_map[x.label] == y.label and x.index == y.index
+
+
+def test_file_stream_reads_past_one_block(tmp_path):
+    # a file shorter than one block streams every row; a bad row after the
+    # first block keeps its own line number
+    short = [[float(i), float(i % 7)] for i in range(50)]
+    p = _write(tmp_path, "short.csv", "a,b,label\n" + "".join(
+        f"{a!r},{b!r},{int(a) % 2}\n" for a, b in short))
+    insts = list(file_stream(p, bits_per_attribute=2, calibration_size=20))
+    binz = binarize(short[:20], 2)
+    assert [i.index for i in insts] == list(range(50))
+    assert [i.label for i in insts] == [1 - int(a) % 2 for a, _ in short]
+    assert [i.features.tolist() for i in insts] == binz.transform(short).tolist()
+
+    good = "".join(f"{i},{i % 2}\n" for i in range(BLOCK_ROWS + 3))
+    line = 1 + BLOCK_ROWS + 3 + 1  # header, good rows, then the bad one
+    for bad in ("foo", "nan"):
+        p = _write(tmp_path, f"long_{bad}.csv", f"a,label\n{good}{bad},0\n1,1\n")
+        stream = file_stream(p, calibration_size=10)
+        with pytest.raises(RowParseError) as err:
+            list(stream)
+        assert err.value.line_number == line
