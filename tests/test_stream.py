@@ -176,14 +176,13 @@ def test_transform_row_matches_searchsorted(binz, data):
             assert got.tolist() == want
     # one block holding every special value and every exact threshold, coded
     # by the fitted attributes plus a passthrough one
-    binz = Binarizer(binz.thresholds + [None], binz.bits + [1])
-    specials = [[v] * len(per_attr) for v in (np.nan, np.inf, -np.inf, 0.5)]
-    exact = [[float(th[j % len(th)]) if th is not None else 1.0
-              for th in binz.thresholds[:-1]]
-             for j in range(max([len(t) for t in binz.thresholds[:-1]
-                                 if t is not None], default=0))]
-    block = [row + [data.draw(st.sampled_from(specials[0] + [0.0, 1.0, 0.5]))]
-             for row in rows + specials + exact]
+    fitted = binz.thresholds
+    specials = [[v] * len(fitted) for v in (np.nan, np.inf, -np.inf, 0.5)]
+    exact = [[1.0 if th is None else float(th[j % len(th)]) for th in fitted]
+             for j in range(2 ** max(binz.bits))]
+    flag = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 0.5, 1.0])
+    block = [row + [data.draw(flag)] for row in rows + specials + exact]
+    binz = Binarizer(fitted + [None], binz.bits + [1])
     got = binz.transform(np.array(block))
     assert got.dtype == np.uint8 and got.shape == (len(block), sum(binz.bits))
     assert got.tolist() == [searchsorted_row(binz, row) for row in block]
