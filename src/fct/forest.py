@@ -23,6 +23,9 @@ ESTIMATOR_BYTES = 80
 
 DEFAULT_TREE_CAP = 50
 DEFAULT_MAX_NODES = 5000
+# Labels each tree's and each repository entry's accuracy is taken over; a
+# drift compares the two, so both keep this one default.
+DEFAULT_EVAL_WINDOW = 500
 
 
 class Scoreboard:
@@ -98,7 +101,8 @@ class Forest:
 
     def __init__(self, schema: Schema, *, tree_cap: int = DEFAULT_TREE_CAP,
                  max_node_count: int = DEFAULT_MAX_NODES,
-                 eval_window: int = 500, split_confidence: float = 0.99,
+                 eval_window: int = DEFAULT_EVAL_WINDOW,
+                 split_confidence: float = 0.99,
                  tie_threshold: float = 0.01, check_interval: int = 32):
         d = schema.d
         n_trees = min(d, tree_cap)
@@ -108,7 +112,6 @@ class Forest:
             raise ValueError(
                 f"max_node_count {max_node_count} cannot hold {n_trees} "
                 f"pre-rooted trees (3 nodes each)")
-        self.schema = schema
         self.root_attributes = list(range(n_trees))
         self.budget = NodeBudget(max_node_count)
         self.trees = [

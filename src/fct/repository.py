@@ -20,8 +20,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import SchemaError
-from .forest import Scoreboard
-from .spectrum import FourierSpectrum, Packed, parity_sums, spectra_equal, stack
+from .forest import DEFAULT_EVAL_WINDOW, Scoreboard
+from .spectrum import (FourierSpectrum, Packed, classify_blocks, spectra_equal,
+                       stack)
 from .stream import Instance
 
 _CHUNK = 64  # instances per batch of repository scoring
@@ -35,7 +36,8 @@ class RepositoryEntry:
 
 
 class Repository:
-    def __init__(self, capacity: int = 50, eval_window: int = 500,
+    def __init__(self, capacity: int = 50,
+                 eval_window: int = DEFAULT_EVAL_WINDOW,
                  duplicate_tolerance: float = 0.01):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
@@ -109,8 +111,7 @@ class Repository:
         shape (n, entries)."""
         if not self.entries:
             return np.zeros((len(features), 0), dtype=np.uint8)
-        sums = parity_sums(self._packed, features)
-        return (sums >= 0.5).astype(np.uint8)
+        return classify_blocks(self._packed, features)
 
     def best(self) -> Optional[tuple[int, RepositoryEntry, float]]:
         """Highest-accuracy entry (index, entry, accuracy); None when empty.

@@ -37,14 +37,7 @@ Packed = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _mask_bits(mask: int) -> list[int]:
-    out = []
-    a = 0
-    while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
-    return out
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
 def parity_sums(packed: Packed, instances: np.ndarray) -> np.ndarray:
@@ -106,10 +99,6 @@ class FourierSpectrum:
 
     def max_order(self) -> int:
         return max((m.bit_count() for m in self.coefficients), default=0)
-
-    def evaluate(self, features: Sequence[int]) -> float:
-        """Reconstructed function value at one instance."""
-        return float(self.evaluate_batch(np.asarray(features)[None, :])[0])
 
     def evaluate_batch(self, instances: np.ndarray) -> np.ndarray:
         """Reconstructed function values for a (n, d) 0/1 matrix of instances."""
@@ -173,9 +162,20 @@ class FourierSpectrum:
             return cls.from_text(fh.read())
 
 
+def classify_blocks(packed: Packed, instances: np.ndarray) -> np.ndarray:
+    """Class of every block at every instance, shape (n, blocks), as uint8:
+    a reconstructed value of 0.5 or more is class 1."""
+    return (parity_sums(packed, instances) >= 0.5).view(np.uint8)
+
+
 def inverse_classify(spectrum: FourierSpectrum, features: Sequence[int]) -> int:
-    """Class from the reconstructed function value; 0.5 rounds up to class 1."""
-    return 1 if spectrum.evaluate(features) >= 0.5 else 0
+    """Class of one instance under :func:`classify_blocks`."""
+    if len(features) != spectrum.attribute_count:
+        raise SchemaError(
+            f"instance has {len(features)} attributes, spectrum holds "
+            f"{spectrum.attribute_count}")
+    return int(classify_blocks(spectrum.packed,
+                               np.asarray(features)[None, :])[0, 0])
 
 
 def spectra_equal(a: FourierSpectrum, b: FourierSpectrum,
@@ -200,30 +200,13 @@ def exact_total_energy(paths: Iterable[TreePath]) -> float:
     return sum(math.ldexp(1.0, -p.depth) for p in paths if p.label == 1)
 
 
-def _candidate_masks(paths: Sequence[TreePath], order: int) -> set[int]:
-    """Index masks of a given order that can receive a nonzero contribution."""
-    if order == 0:
-        return {0}
-    seen_defined: set[int] = set()
-    out: set[int] = set()
-    for p in paths:
-        dmask = p.defined_mask
-        if dmask in seen_defined or dmask.bit_count() < order:
-            continue
-        seen_defined.add(dmask)
-        for combo in combinations(_mask_bits(dmask), order):
-            m = 0
-            for a in combo:
-                m |= 1 << a
-            out.add(m)
-    return out
-
-
 def dft_from_paths(paths: Sequence[TreePath], attribute_count: int,
                    energy_threshold: float) -> FourierSpectrum:
     """Low-order-first coefficient accumulation with early stopping.
 
-    After finishing order i, the retained-fraction lower bound is
+    Order i is one walk over the class-1 paths: each adds its signed weight
+    to every order-i subset of the attributes it tests. After finishing
+    order i, the retained-fraction lower bound is
     CE_i / (CE_i + (d - i + 1) * E_i) where CE_i is the retained energy so
     far and E_i the energy of order i. Accumulation stops at the first order
     whose bound reaches ``energy_threshold``, or once every order a path can
@@ -246,24 +229,24 @@ def dft_from_paths(paths: Sequence[TreePath], attribute_count: int,
         # constant-0 function: every coefficient is 0, nothing to retain
         return FourierSpectrum(d, {}, 0, 1.0)
 
-    live = [p for p in paths if p.label == 1]
-    weights = [math.ldexp(1.0, -p.depth) for p in live]
+    # (single-bit masks of the tested attributes, 1-branch mask, weight)
+    live = [([1 << a for a in _mask_bits(p.defined_mask)], p.ones_mask,
+             math.ldexp(1.0, -p.depth)) for p in paths if p.label == 1]
     max_order = max(p.depth for p in paths)
 
     coeffs: dict[int, float] = {}
     retained = 0.0
     order = 0
     while True:
-        e_i = 0.0
-        for m in _candidate_masks(paths, order):
-            w = 0.0
-            for p, pw in zip(live, weights):
-                if m & ~p.defined_mask:
-                    continue
-                w += -pw if (m & p.ones_mask).bit_count() & 1 else pw
-            if w != 0.0:
-                coeffs[m] = w
-                e_i += w * w
+        sums: dict[int, float] = {}
+        for bits, ones, w in live:
+            for combo in combinations(bits, order):
+                m = sum(combo)
+                sums[m] = sums.get(m, 0.0) + (
+                    -w if (m & ones).bit_count() & 1 else w)
+        kept = {m: w for m, w in sums.items() if w != 0.0}
+        coeffs.update(kept)
+        e_i = sum(w * w for w in kept.values())
         retained += e_i
         if order >= max_order:
             break

@@ -319,7 +319,7 @@ def rbf_raw(schedule: ConceptSchedule) -> RawIter:
             for i in range(n):
                 c = bisect_right(cdf, rng.random())
                 direction = rng.uniform(-1.0, 1.0, size=nd)
-                norm = np.linalg.norm(direction)
+                norm = math.sqrt(direction.dot(direction))
                 if norm == 0.0:
                     norm = 1.0
                 magnitude = rng.normal(0.0, 1.0) * spreads[c]
@@ -418,21 +418,25 @@ def synthetic_stream(dataset: str, schedule: ConceptSchedule,
                          calibration_size, schedule.boundaries())
 
 
-def _sniff_delimiter(header_line: str) -> str:
-    return ";" if header_line.count(";") > header_line.count(",") else ","
-
-
 def _read_rows(path) -> Iterator[tuple[int, list[str]]]:
-    with open(path, "r", newline="") as fh:
+    """The header, then every non-empty row, each with the physical line it
+    ends on; undecodable text and malformed csv raise RowParseError."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
         first = fh.readline()
         if not first:
             raise UnsupportedDatasetError(f"{path}: empty file")
-        delim = _sniff_delimiter(first)
-        header = next(csv.reader([first], delimiter=delim))
-        yield 1, header
-        for lineno, row in enumerate(csv.reader(fh, delimiter=delim), start=2):
-            if row:
-                yield lineno, row
+        delim = ";" if first.count(";") > first.count(",") else ","
+        rows = csv.reader(itertools.chain([first], fh), delimiter=delim)
+        try:
+            for row in rows:
+                "".join(row).encode("utf-8")  # an undecodable byte fails here
+                if row or rows.line_num == 1:
+                    yield rows.line_num, row
+        except csv.Error as e:
+            raise RowParseError(rows.line_num, str(e)) from None
+        except UnicodeEncodeError:
+            raise RowParseError(rows.line_num, "not UTF-8 text") from None
 
 
 def file_stream(path, bits_per_attribute: int = 1,

@@ -99,13 +99,14 @@ def path_coefficient_contribution(path: TreePath, index_mask: int) -> float:
 
 
 def grow_random_tree(seed: int, d: int | None = None,
-                     n_instances: int | None = None) -> HoeffdingTree:
+                     n_instances: int | None = None,
+                     tie_threshold: float = 0.01) -> HoeffdingTree:
     """Train a tree on a noiseless random threshold concept over random bits.
 
     The label is 1 when a random positive linear form of the features clears
     a random cut, so every attribute carries some marginal signal and greedy
     induction produces trees of varied shape and depth. Deterministic per
-    seed.
+    seed and tie threshold; a larger tie threshold grows deeper trees.
     """
     rng = np.random.default_rng(seed)
     if d is None:
@@ -117,7 +118,7 @@ def grow_random_tree(seed: int, d: int | None = None,
     # the dominance scale itself varies to mix stumpy and bushy shapes
     w = np.exp(rng.normal(0.0, rng.uniform(0.8, 2.2), size=d))
     cut = rng.uniform(0.25, 0.75) * w.sum()
-    tree = HoeffdingTree(schema_of(d))
+    tree = HoeffdingTree(schema_of(d), tie_threshold=tie_threshold)
     X = rng.integers(0, 2, size=(n_instances, d)).astype(np.uint8)
     y = (X @ w > cut).astype(int)
     for x, label in zip(X, y):

@@ -104,6 +104,22 @@ def test_file_dataset_round_trip(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("rows,message", [
+    (b"3,4,y\n5,6,\xff\n", "line 4: not UTF-8 text"),
+    (b"3,4,y\n5," + b"6" * 140_000 + b",y\n",
+     "line 4: field larger than field limit"),
+    # the quoted row spans lines 3 and 4, so the bad row is on line 5
+    (b'1,2,"x\nx"\n5,oops,y\n',
+     "line 5: could not convert string to float: 'oops'"),
+], ids=["undecodable-byte", "oversized-field", "quoted-line-break"])
+def test_bad_file_rows_exit_1_with_their_line(tmp_path, capsys, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"a,b,label\n1,2,x\n" + rows)
+    assert run_cli("run", "--dataset", "file", "--file", str(path),
+                   "--out", str(tmp_path / "r")) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_invalid_values_exit_2(tmp_path, capsys):
     out = str(tmp_path / "r")
     for noise in ("1.5", "nan"):
