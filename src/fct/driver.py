@@ -1,14 +1,15 @@
 """Prequential drift loop tying forest, detector, and repository together.
 
 Each arriving instance is first predicted by the current winning model; its
-label becomes available ``label_delay`` instances later, at which point the
+label becomes available ``delay`` instances later, at which point the
 recorded prediction is scored, the detector sees the error bit, repository
 entries are re-scored, and the forest trains. When the detector fires, the
 winner is re-selected from forest and repository, compressing the best tree
 into the repository when it beats the stored alternatives clearly enough.
 
-With ``mode="cbdt"`` the repository is disabled entirely and the winner is
-always the current best tree; that is the ablation baseline.
+With ``mode="cbdt"`` nothing is ever stored, so the repository stays empty
+and the winner is always the current best tree; that is the ablation
+baseline.
 """
 
 from __future__ import annotations
@@ -33,33 +34,31 @@ MODES = ("fct", "cbdt")
 
 @dataclass(frozen=True)
 class FctConfig:
-    """Run settings, checked once when the config is built.
+    """Run settings, checked once when the config is built. Each field is
+    the command line option of the same name.
 
     Tree growth, evaluation windows and duplicate tolerance keep the
     defaults of :class:`Forest` and :class:`Repository`.
     """
 
-    energy_threshold: float = 0.95
-    winner_tie_margin: float = 0.01      # repo must trail by more to trigger a store
-    repository_capacity: int = 50
+    energy: float = 0.95
+    tau: float = 0.01      # repo must trail by more to trigger a store
+    repo_cap: int = 50
     adwin_delta: float = 0.01
-    label_delay: int = 200
+    delay: int = 200
     mode: str = "fct"
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Raise ConfigError naming the command line key of a bad value."""
-        if not 0.0 < self.energy_threshold <= 1.0:
+        """Raise ConfigError naming the field of a bad value."""
+        if not 0.0 < self.energy <= 1.0:
             raise ConfigError("energy", "must be in (0, 1]")
-        if not 0.0 <= self.winner_tie_margin < math.inf:
+        if not 0.0 <= self.tau < math.inf:
             raise ConfigError("tau", "must be finite and >= 0")
-        if self.repository_capacity < 1:
+        if self.repo_cap < 1:
             raise ConfigError("repo_cap", "must be >= 1")
         if not 0.0 < self.adwin_delta < 1.0:
             raise ConfigError("adwin_delta", "must be in (0, 1)")
-        if self.label_delay < 0:
+        if self.delay < 0:
             raise ConfigError("delay", "must be >= 0")
         if self.mode not in MODES:
             raise ConfigError("mode", f"must be one of {'/'.join(MODES)}")
@@ -71,6 +70,10 @@ class WinnerRef:
 
     source: str            # "forest" or "repository"
     model_id: int          # tree index, or repository entry id
+    # the answering entry's spectrum, or None while a tree answers. It is
+    # never evicted while held: only on_drift stores, and only while a tree
+    # is the winner
+    spectrum: Optional[FourierSpectrum] = field(default=None, compare=False)
 
 
 @dataclass
@@ -107,41 +110,39 @@ class FctState:
     def __init__(self, schema: Schema, config: FctConfig):
         self.config = config
         self.forest = Forest(schema)
-        self.repository = Repository(capacity=config.repository_capacity)
+        self.repository = Repository(capacity=config.repo_cap)
         self.detector = AdwinDetector(delta=config.adwin_delta)
         # before any evidence, tree 0 answers
         self.winner = WinnerRef("forest", 0)
-        # the winning entry's spectrum, or None while a tree wins; only
-        # on_drift evicts, and it stores only while a tree is the winner
-        self._winner_spectrum: Optional[FourierSpectrum] = None
         self.pending: deque[tuple[Instance, int]] = deque()
         self.drift_positions: list[int] = []
         self.winner_switches: list[tuple[int, str, int]] = []
         self.seen = 0
+        self.scored = 0    # labels matured so far
+        self.hits = 0      # of which predicted correctly
 
     def classify(self, features: np.ndarray) -> int:
-        if self._winner_spectrum is None:
+        spectrum = self.winner.spectrum
+        if spectrum is None:
             return self.forest.classify(self.winner.model_id, features)
-        return inverse_classify(self._winner_spectrum, features)
+        return inverse_classify(spectrum, features)
 
-    def step(self, inst: Instance, scored_hook=None) -> int:
+    def step(self, inst: Instance) -> int:
         """Predict now, score/train once the delayed label arrives.
 
         Returns the prediction for this instance; a drift fired while
         absorbing a matured label is recorded in ``drift_positions``.
-        ``scored_hook(instance, correct)`` is called for each matured instance.
         """
         pred = self.classify(inst.features)
         self.pending.append((inst, pred))
         self.seen += 1
-        if len(self.pending) > self.config.label_delay:
+        if len(self.pending) > self.config.delay:
             old, old_pred = self.pending.popleft()
             correct = old_pred == old.label
-            if scored_hook is not None:
-                scored_hook(old, correct)
+            self.scored += 1
+            self.hits += correct
             fired = self.detector.add(0 if correct else 1)
-            if self.config.mode == "fct":
-                self.repository.observe(old)
+            self.repository.observe(old)
             self.forest.train(old)
             if fired:
                 self.drift_positions.append(inst.index)
@@ -156,18 +157,17 @@ class FctState:
         best = self.repository.best()
         repo_acc = best[2] if best is not None else -math.inf
         if (self.config.mode == "fct" and self.winner.source == "forest"
-                and tree_acc - repo_acc > self.config.winner_tie_margin):
-            self.repository.insert(dft(tree, self.config.energy_threshold))
+                and tree_acc - repo_acc > self.config.tau):
+            self.repository.insert(dft(tree, self.config.energy))
             best = self.repository.best()  # refreshed: insert may have evicted
         if best is not None and best[2] > tree_acc:
             entry = best[1]
             entry.winner_tally += 1
-            self._set_winner(WinnerRef("repository", entry.entry_id))
-            self._winner_spectrum = entry.spectrum
+            self._set_winner(
+                WinnerRef("repository", entry.entry_id, entry.spectrum))
         else:
             # ties keep the forest answering
             self._set_winner(WinnerRef("forest", ti))
-            self._winner_spectrum = None
         # every drift restarts detection on the (possibly unchanged) winner
         self.detector = AdwinDetector(delta=self.config.adwin_delta)
 
@@ -195,52 +195,40 @@ def run(stream: Iterable[Instance], config: FctConfig,
             raise ConfigError("schema", "required when the stream carries none")
         schema = stream.schema
     state = FctState(schema, config)
-    report = RunReport()
+    report = RunReport(drift_positions=state.drift_positions,
+                       winner_switches=state.winner_switches, state=state)
     if isinstance(stream, InstanceStream):
         report.truth_boundaries = stream.boundaries
 
-    win_hits = 0
-    win_count = 0
-    total_hits = 0
+    # the state's counts when the previous window closed
+    prev_scored = prev_hits = 0
 
-    def scored(old: Instance, correct: bool) -> None:
-        nonlocal total_hits, win_hits, win_count
-        report.scored_instances += 1
-        win_count += 1
-        if correct:
-            total_hits += 1
-            win_hits += 1
-
-    def snapshot(end: int) -> None:
-        nonlocal win_hits, win_count
+    def snapshot() -> None:
+        nonlocal prev_scored, prev_hits
+        scored, hits = state.scored, state.hits
         report.windows.append(WindowRow(
-            window_end=end,
-            windowed_acc=win_hits / win_count if win_count else math.nan,
-            overall_acc=total_hits / report.scored_instances
-            if report.scored_instances else math.nan,
+            window_end=state.seen,
+            windowed_acc=(hits - prev_hits) / (scored - prev_scored)
+            if scored > prev_scored else math.nan,
+            overall_acc=hits / scored if scored else math.nan,
             forest_bytes=state.forest.memory_bytes(),
             repo_bytes=state.repository.memory_bytes(),
             winner_source=state.winner.source,
             winner_id=state.winner.model_id,
         ))
-        win_hits = 0
-        win_count = 0
+        prev_scored, prev_hits = scored, hits
 
     t0 = time.perf_counter()
-    n = 0
     for inst in stream:
-        state.step(inst, scored_hook=scored)
-        n += 1
-        if n % window_size == 0:
-            snapshot(n)
+        state.step(inst)
+        if state.seen % window_size == 0:
+            snapshot()
     report.wall_seconds = time.perf_counter() - t0
 
-    if n % window_size != 0:
-        snapshot(n)
-    report.total_instances = n
-    report.overall_accuracy = (total_hits / report.scored_instances
-                               if report.scored_instances else math.nan)
-    report.drift_positions = list(state.drift_positions)
-    report.winner_switches = list(state.winner_switches)
-    report.state = state
+    if state.seen % window_size != 0:
+        snapshot()
+    report.total_instances = state.seen
+    report.scored_instances = state.scored
+    if report.windows:
+        report.overall_accuracy = report.windows[-1].overall_acc
     return report

@@ -17,7 +17,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from . import driver, stream
@@ -52,20 +52,23 @@ class Option:
     choices: Optional[tuple] = None
 
 
+_DEFAULT = driver.FctConfig()  # the driver settings at their defaults
+
 # The single declaration of every option; it drives the command line flags
 # (``--repo-cap`` for ``repo_cap``), config-file keys and sweeps.
 OPTIONS = {
     "dataset": Option(str, "sea", "stream source", choices=DATASETS),
     "file": Option(str, None, "input csv when --dataset file"),
     "noise": Option(float, 0.10, "label flip probability", True),
-    "energy": Option(float, 0.95, "spectrum energy threshold", True),
-    "tau": Option(float, 0.01, "winner tie margin", True),
-    "delay": Option(int, 200, "label arrival delay", True),
-    "repo_cap": Option(int, 50, "repository capacity", True),
-    "adwin_delta": Option(float, 0.01, "detector confidence", True),
+    "energy": Option(float, _DEFAULT.energy, "spectrum energy threshold", True),
+    "tau": Option(float, _DEFAULT.tau, "winner tie margin", True),
+    "delay": Option(int, _DEFAULT.delay, "label arrival delay", True),
+    "repo_cap": Option(int, _DEFAULT.repo_cap, "repository capacity", True),
+    "adwin_delta": Option(float, _DEFAULT.adwin_delta, "detector confidence", True),
     "seed": Option(int, 1, "stream seed", True),
     "segments": Option(str, "4x5000x25", "COUNTxLENGTHxRECURRENCES"),
-    "mode": Option(str, "fct", "fct, or cbdt to disable the repository"),
+    "mode": Option(str, _DEFAULT.mode, "fct, or cbdt to disable the repository",
+                   choices=driver.MODES),
     "out": Option(str, "results", "output directory"),
     "bits_per_attr": Option(int, 3, "bits per numeric attribute", True),
     "window": Option(int, 1000, "metrics window size"),
@@ -129,14 +132,7 @@ def build_config(opts: dict) -> driver.FctConfig:
                           f"must be in [1, {stream.MAX_BITS_PER_ATTRIBUTE}]")
     if opts["seed"] < 0:
         raise ConfigError("seed", "must be >= 0")
-    return driver.FctConfig(
-        energy_threshold=opts["energy"],
-        winner_tie_margin=opts["tau"],
-        repository_capacity=opts["repo_cap"],
-        adwin_delta=opts["adwin_delta"],
-        label_delay=opts["delay"],
-        mode=opts["mode"],
-    )
+    return driver.FctConfig(**{f.name: opts[f.name] for f in fields(driver.FctConfig)})
 
 
 def _load_config_file(path: str) -> dict:

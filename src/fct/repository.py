@@ -14,6 +14,7 @@ outright.
 from __future__ import annotations
 
 import csv
+import glob
 import os
 from typing import Optional
 
@@ -131,8 +132,10 @@ class Repository:
                 + self.scores.memory_bytes())
 
     def export(self, directory) -> None:
-        """Write every spectrum plus an index.csv of entry statistics."""
+        """Write every spectrum plus an index.csv of entry statistics, and
+        delete the spectrum files of an earlier export that are not rewritten."""
         os.makedirs(directory, exist_ok=True)
+        written = set()
         with open(os.path.join(directory, "index.csv"), "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["entry_id", "file", "winner_tally", "accuracy",
@@ -141,7 +144,10 @@ class Repository:
             for e, acc in zip(self.entries, self.scores.accuracies()):
                 fname = f"spectrum_{e.entry_id:04d}.txt"
                 e.spectrum.write(os.path.join(directory, fname))
+                written.add(fname)
                 w.writerow([e.entry_id, fname, e.winner_tally,
                             f"{acc:.6f}", len(e.spectrum),
                             e.spectrum.order_cutoff,
                             f"{e.spectrum.captured_energy_fraction:.6f}"])
+        for stale in set(glob.glob("spectrum_*.txt", root_dir=directory)) - written:
+            os.remove(os.path.join(directory, stale))

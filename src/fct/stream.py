@@ -328,12 +328,17 @@ def rbf_raw(schedule: ConceptSchedule) -> RawIter:
             yield rows, classes[picks] ^ (noise_rng.random(n) < p)
 
 
+HYPERPLANE_MAG_CHANGE = 0.001            # drifting weight step per instance
+HYPERPLANE_DIRECTION_CHANGE_PROB = 0.1   # chance a weight turns per instance
+
+
 def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
     """Numeric rotating-hyperplane stream over [0,1]^nd.
 
     Label is the side of sum(w_i x_i) > sum(w)/2; the first
-    ``drifting_attribute_count`` weights move by ``mag_change`` per instance,
-    each flipping direction with probability ``direction_change_prob``.
+    ``drifting_attribute_count`` weights move by ``HYPERPLANE_MAG_CHANGE``
+    per instance, each flipping direction with probability
+    ``HYPERPLANE_DIRECTION_CHANGE_PROB``.
     Rows are drawn one at a time, since the weights move after each.
     """
     p = schedule.noise_probability
@@ -343,8 +348,6 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
         if k is None or k < 0 or k > nd:
             raise InvalidParamsError(
                 "hyperplane segment needs 'drifting_attribute_count' in [0, d]")
-        mag = seg.params.get("mag_change", 0.001)
-        sigma = seg.params.get("direction_change_prob", 0.1)
         rng, noise_rng = _segment_rngs(seg)
         if "weights" in seg.params:
             w = np.asarray(seg.params["weights"], dtype=float).copy()
@@ -361,8 +364,8 @@ def hyperplane_raw(schedule: ConceptSchedule) -> RawIter:
                 rows[i] = row
                 labels[i] = row @ w > 0.5 * w.sum()
                 if k:
-                    w[:k] += directions * mag
-                    flips = rng.random(k) < sigma
+                    w[:k] += directions * HYPERPLANE_MAG_CHANGE
+                    flips = rng.random(k) < HYPERPLANE_DIRECTION_CHANGE_PROB
                     directions[flips] *= -1.0
             yield rows, (labels ^ (noise_rng.random(n) < p)).view(np.uint8)
 

@@ -33,21 +33,21 @@ def as_stream(instances, d=3, boundaries=()):
     return InstanceStream(schema_of(d), iter(instances), boundaries=boundaries)
 
 
-@pytest.mark.parametrize("field,value,key", [
-    ("energy_threshold", 0.0, "energy"),
-    ("energy_threshold", 1.2, "energy"),
-    ("winner_tie_margin", -0.5, "tau"),
-    ("winner_tie_margin", float("nan"), "tau"),
-    ("winner_tie_margin", float("inf"), "tau"),
-    ("repository_capacity", 0, "repo_cap"),
-    ("adwin_delta", 1.0, "adwin_delta"),
-    ("label_delay", -1, "delay"),
-    ("mode", "hybrid", "mode"),
+@pytest.mark.parametrize("key,value", [
+    ("energy", 0.0),
+    ("energy", 1.2),
+    ("tau", -0.5),
+    ("tau", float("nan")),
+    ("tau", float("inf")),
+    ("repo_cap", 0),
+    ("adwin_delta", 1.0),
+    ("delay", -1),
+    ("mode", "hybrid"),
 ])
-def test_config_validation_names_the_cli_key(field, value, key):
+def test_config_validation_names_the_cli_key(key, value):
     # a config is checked when it is built, so an invalid one never exists
     with pytest.raises(ConfigError) as err:
-        FctConfig(**{field: value})
+        FctConfig(**{key: value})
     assert err.value.key == key
 
 
@@ -79,7 +79,7 @@ def test_empty_stream_yields_empty_report():
 
 def test_delayed_labels_score_exactly_the_matured_prefix():
     insts = constant_concept_instances(100)
-    report = run(as_stream(insts), FctConfig(label_delay=30), window_size=40)
+    report = run(as_stream(insts), FctConfig(delay=30), window_size=40)
     assert report.total_instances == 100
     # the last 30 predictions never see their labels
     assert report.scored_instances == 70
@@ -89,25 +89,28 @@ def test_delayed_labels_score_exactly_the_matured_prefix():
 
 def test_zero_delay_scores_everything():
     insts = constant_concept_instances(80)
-    report = run(as_stream(insts), FctConfig(label_delay=0), window_size=80)
+    report = run(as_stream(insts), FctConfig(delay=0), window_size=80)
     assert report.scored_instances == 80
 
 
 def test_step_scores_each_label_exactly_once():
-    state = FctState(schema_of(2), FctConfig(label_delay=3))
-    scored = []
+    state = FctState(schema_of(2), FctConfig(delay=3))
     feats = np.array([1, 0], dtype=np.int8)
+    preds = []
     for i in range(10):
-        state.step(Instance(feats, 1, i),
-                   scored_hook=lambda old, ok: scored.append(old.index))
-    assert scored == list(range(7))
+        preds.append(state.step(Instance(feats, 1, i)))
+        # every label older than the last three has been scored, in order
+        assert state.scored == max(0, i + 1 - 3)
+        assert [inst.index for inst, _ in state.pending] == \
+            list(range(state.scored, i + 1))
+        assert state.hits == preds[:state.scored].count(1)
 
 
 @settings(max_examples=40)
 @given(st.integers(min_value=0, max_value=12),
        st.integers(min_value=0, max_value=40))
 def test_pending_holds_the_unmatured_suffix_after_every_step(delay, n):
-    state = FctState(schema_of(3), FctConfig(label_delay=delay))
+    state = FctState(schema_of(3), FctConfig(delay=delay))
     for inst in constant_concept_instances(n):
         state.step(inst)
         assert len(state.pending) == min(state.seen, delay)
@@ -116,14 +119,14 @@ def test_pending_holds_the_unmatured_suffix_after_every_step(delay, n):
 def test_truth_boundaries_are_carried_into_the_report():
     insts = flip_concept_instances(500)
     report = run(as_stream(insts, boundaries=(500,)),
-                 FctConfig(label_delay=50))
+                 FctConfig(delay=50))
     assert report.truth_boundaries == (500,)
 
 
 def test_cbdt_mode_never_touches_the_repository():
     insts = flip_concept_instances(2500)
     report = run(as_stream(insts, boundaries=(2500,)),
-                 FctConfig(mode="cbdt", label_delay=100))
+                 FctConfig(mode="cbdt", delay=100))
     assert report.drift_positions, "the label flip must trip the detector"
     assert len(report.state.repository) == 0
     assert all(w.repo_bytes == 0 for w in report.windows)
@@ -133,7 +136,7 @@ def test_cbdt_mode_never_touches_the_repository():
 def test_fct_mode_stores_a_spectrum_at_the_first_drift():
     insts = flip_concept_instances(2500)
     report = run(as_stream(insts, boundaries=(2500,)),
-                 FctConfig(mode="fct", label_delay=100))
+                 FctConfig(mode="fct", delay=100))
     assert report.drift_positions
     # the warm-up transient may fire once early; the flip itself must be
     # caught shortly after labels for it mature
@@ -144,7 +147,7 @@ def test_fct_mode_stores_a_spectrum_at_the_first_drift():
 def test_winner_changes_only_when_drift_fires():
     insts = flip_concept_instances(2500)
     report = run(as_stream(insts, boundaries=(2500,)),
-                 FctConfig(mode="fct", label_delay=100))
+                 FctConfig(mode="fct", delay=100))
     drift_at = set(report.drift_positions)
     for seen, source, model_id in report.winner_switches:
         assert seen - 1 in drift_at
@@ -153,7 +156,7 @@ def test_winner_changes_only_when_drift_fires():
 
 def test_same_stream_and_config_replay_identically():
     insts = flip_concept_instances(2000, seed=11)
-    config = FctConfig(mode="fct", label_delay=100)
+    config = FctConfig(mode="fct", delay=100)
     a = run(as_stream(insts, boundaries=(2000,)), config, window_size=500)
     b = run(as_stream(insts, boundaries=(2000,)), config, window_size=500)
     assert a.windows == b.windows
@@ -167,7 +170,7 @@ def test_repository_winner_is_never_evicted():
     # entry every later insert evicts, yet never the entry that is answering
     insts = flip_concept_instances(1000, seed=3, segments=8)
     state = FctState(schema_of(3),
-                     FctConfig(mode="fct", label_delay=100, repository_capacity=1))
+                     FctConfig(mode="fct", delay=100, repo_cap=1))
     repository_steps = 0
     for inst in insts:
         state.step(inst)

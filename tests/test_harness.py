@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 
+from fct.driver import FctConfig
 from fct.errors import ConfigError
 from fct.harness import (
     DEFAULTS,
@@ -13,6 +14,7 @@ from fct.harness import (
     _load_config_file,
     _merge_options,
     _parser,
+    build_config,
     main,
     parse_segments,
     run_sweep,
@@ -76,10 +78,14 @@ def test_drift_file_flags_are_binary(tmp_path):
 
 
 def test_cbdt_run_exports_an_empty_repository(tmp_path):
+    # an fct run into the same directory first leaves a stored spectrum
     out = tmp_path / "r"
+    assert run_cli(*small_run_args(out)) == 0
+    assert list((out / "repository").glob("spectrum_*.txt"))
     assert run_cli(*small_run_args(out, mode="cbdt")) == 0
     index = (out / "repository" / "index.csv").read_text().splitlines()
     assert len(index) == 1  # header only
+    assert not list((out / "repository").glob("spectrum_*.txt"))
 
 
 def test_same_seed_reproduces_metrics_byte_for_byte(tmp_path):
@@ -141,6 +147,20 @@ def test_invalid_values_exit_2(tmp_path, capsys):
 def test_unknown_dataset_rejected_by_the_parser(tmp_path):
     with pytest.raises(SystemExit):
         run_cli("run", "--dataset", "bogus", "--out", str(tmp_path))
+
+
+def test_unknown_mode_rejected_by_the_parser_and_the_config_file(tmp_path):
+    with pytest.raises(SystemExit):
+        run_cli("run", "--mode", "bogus", "--out", str(tmp_path))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\nmode = bogus\n")
+    with pytest.raises(ConfigError) as info:
+        _load_config_file(str(cfg))
+    assert str(info.value).startswith(f"{cfg} line 2: mode: ")
+
+
+def test_default_options_build_the_default_driver_config():
+    assert build_config(DEFAULTS) == FctConfig()
 
 
 def test_config_file_merging(tmp_path):

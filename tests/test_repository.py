@@ -214,6 +214,19 @@ def test_export_round_trips_spectra(tmp_path):
         assert loaded.order_cutoff == entry.spectrum.order_cutoff
 
 
+def test_export_replaces_the_spectra_of_an_earlier_export(tmp_path):
+    repo = Repository(capacity=2)
+    repo.insert(spectrum_for_attribute(0))
+    repo.insert(spectrum_for_attribute(1))
+    out = tmp_path / "repo"
+    repo.export(out)
+    (out / "notes.txt").write_text("not a spectrum")
+    repo.insert(spectrum_for_attribute(2))  # evicts entry 0, the oldest
+    repo.export(out)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "index.csv", "notes.txt", "spectrum_0001.txt", "spectrum_0002.txt"]
+
+
 def random_spectrum(seed: int, d: int = 4) -> FourierSpectrum:
     """A spectrum with up to three nonzero coefficients besides the mean,
     each a multiple of 1/8, so most of them are not duplicates."""
